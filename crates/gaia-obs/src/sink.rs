@@ -6,7 +6,8 @@
 //! `if S::ACTIVE { ... }`, so for [`NullSink`] (`ACTIVE = false`) the
 //! whole block is a compile-time-dead branch and the traced engine
 //! monomorphizes to the same machine code as an uninstrumented one.
-//! `crates/bench/benches/obs_overhead.rs` holds that claim to ≤2%.
+//! The `obs_overhead` bench binary, run and gated by
+//! `scripts/bench_obs.sh`, holds that claim to ≤2%.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};

@@ -22,14 +22,15 @@ pub fn replay(addr: &str, input: impl BufRead, mut out: impl Write) -> Result<u6
     let mut writer = stream;
     let mut sent = 0u64;
     for line in input.lines() {
-        let line = line.map_err(|e| format!("cannot read request input: {e}"))?;
+        let mut line = line.map_err(|e| format!("cannot read request input: {e}"))?;
         if line.trim().is_empty() {
             continue;
         }
+        // One write per line, so Nagle's algorithm never holds a lone
+        // newline back until the daemon's delayed ACK.
+        line.push('\n');
         writer
             .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
             .map_err(|e| format!("cannot send to {addr}: {e}"))?;
         sent += 1;
         let mut response = String::new();

@@ -40,7 +40,7 @@ use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_fault::{FaultPlan, FaultSchedule};
 use gaia_obs::flight::wall_micros;
 use gaia_obs::{FlightRecorder, FlightSink, JsonlSink, NullSink, Sink};
-use gaia_sim::{ClusterConfig, OnlineEngine};
+use gaia_sim::{durable_write, ClusterConfig, OnlineEngine};
 
 use crate::protocol::{Request, Response};
 use crate::session::Session;
@@ -594,7 +594,7 @@ fn handle<S: Sink>(
 fn write_snapshot<S: Sink>(session: &mut Session<'_, S>, options: &ServeOptions) -> Response {
     let (seq, bytes) = session.snapshot();
     let path = &options.snapshot_path;
-    match persist_snapshot(path, &bytes) {
+    match durable_write(path, &bytes) {
         Ok(()) => {
             if let Some(telemetry) = session.telemetry() {
                 let g = &telemetry.gauges;
@@ -612,37 +612,6 @@ fn write_snapshot<S: Sink>(session: &mut Session<'_, S>, options: &ServeOptions)
             error: format!("cannot write snapshot {}: {e}", path.display()),
         },
     }
-}
-
-/// Durably replaces `path` with `bytes` so that a crash at any instant
-/// — including mid-call — leaves either the previous snapshot or the
-/// complete new one at `path`, never partial bytes.
-///
-/// The write goes to a `.tmp` sibling which is `sync_all`ed *before*
-/// the rename (otherwise the rename can hit disk ahead of the data and
-/// a crash exposes a truncated file under the final name), and the
-/// parent directory is fsynced *after* it (otherwise the rename itself
-/// may not survive the crash). A failed rename removes the `.tmp` so
-/// retries never pick up stale bytes.
-pub fn persist_snapshot(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let written = (|| {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if let Err(e) = written {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    // A bare filename has an empty parent; the directory entry then
-    // lives in the current directory.
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    fs::File::open(parent)?.sync_all()
 }
 
 /// One connection: forward raw lines to the engine thread, write each

@@ -33,7 +33,10 @@ pub mod session;
 pub mod snapshot;
 pub mod telemetry;
 
-pub use daemon::{persist_snapshot, request_termination, run, ServeOptions};
+pub use daemon::{request_termination, run, ServeOptions};
+/// The workspace's one durable write, under the name the serving
+/// benchmark (`perfbench/`) calls it by.
+pub use gaia_sim::durable_write as persist_snapshot;
 pub use protocol::{Request, Response, StatsBody, StatusDetail};
 pub use session::{Session, TenantStats};
 pub use snapshot::{encode, restore, SERVICE_SNAPSHOT_VERSION};

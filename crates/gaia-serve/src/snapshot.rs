@@ -3,11 +3,12 @@
 //! A service snapshot wraps the engine snapshot
 //! ([`OnlineEngine::snapshot`]) with the serving layer's own state: the
 //! policy the scheduler is built from, the tenant table in interning
-//! order, the job→tenant map, and the snapshot ordinal. Same contract
-//! as the engine format: little-endian, length-prefixed, no padding;
-//! identical sessions encode to identical bytes; **any** layout change
-//! bumps [`SERVICE_SNAPSHOT_VERSION`] and readers accept exactly the
-//! versions they know.
+//! order, the job→tenant map, and the snapshot ordinal. It is encoded
+//! with the workspace codec ([`gaia_sim::codec`]) under the same
+//! contract as the engine format: little-endian, length-prefixed, no
+//! padding; identical sessions encode to identical bytes; **any** layout
+//! change bumps [`SERVICE_SNAPSHOT_VERSION`] and readers accept exactly
+//! the versions they know.
 //!
 //! Layout (version 1), after the 8-byte magic `b"GAIASRVS"` and the
 //! `u32` version:
@@ -25,6 +26,7 @@ use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_core::SpotConfig;
 use gaia_fault::FaultSchedule;
 use gaia_obs::Sink;
+use gaia_sim::codec::{Reader, Writer};
 use gaia_sim::{ClusterConfig, OnlineEngine, SnapshotError};
 use gaia_time::Minutes;
 
@@ -41,37 +43,29 @@ const MAGIC: &[u8; 8] = b"GAIASRVS";
 pub fn encode<S: Sink>(session: &Session<'_, S>) -> Vec<u8> {
     let (engine, tenants, job_tenant, snapshots) = session.parts();
     let policy = session.policy();
-    let mut w = Vec::with_capacity(256);
-    w.extend_from_slice(MAGIC);
-    put_u32(&mut w, SERVICE_SNAPSHOT_VERSION);
-    put_str(&mut w, policy.base.name());
-    w.push(u8::from(policy.res_first));
-    match policy.spot {
-        None => w.push(0),
-        Some(spot) => {
-            w.push(1);
-            put_u64(&mut w, spot.j_max.as_minutes());
-        }
-    }
-    put_u64(&mut w, snapshots);
-    put_u64(&mut w, tenants.len() as u64);
+    let mut w = Writer::with_header(MAGIC, SERVICE_SNAPSHOT_VERSION);
+    w.str(policy.base.name());
+    w.bool(policy.res_first);
+    w.opt(policy.spot.as_ref(), |w, spot: &SpotConfig| {
+        w.u64(spot.j_max.as_minutes())
+    });
+    w.u64(snapshots);
+    w.u64(tenants.len() as u64);
     for tenant in tenants {
-        put_str(&mut w, &tenant.name);
-        put_u64(&mut w, tenant.body.submitted);
-        put_u64(&mut w, tenant.body.completed);
-        put_u64(&mut w, tenant.body.cancelled);
-        put_f64(&mut w, tenant.body.carbon_g);
-        put_f64(&mut w, tenant.body.cost);
-        put_u64(&mut w, tenant.body.wait_min);
+        w.str(&tenant.name);
+        w.u64(tenant.body.submitted);
+        w.u64(tenant.body.completed);
+        w.u64(tenant.body.cancelled);
+        w.f64(tenant.body.carbon_g);
+        w.f64(tenant.body.cost);
+        w.u64(tenant.body.wait_min);
     }
-    put_u64(&mut w, job_tenant.len() as u64);
+    w.u64(job_tenant.len() as u64);
     for tid in job_tenant {
-        put_u32(&mut w, *tid);
+        w.u32(*tid);
     }
-    let engine_bytes = engine.snapshot();
-    put_u64(&mut w, engine_bytes.len() as u64);
-    w.extend_from_slice(&engine_bytes);
-    w
+    w.bytes(&engine.snapshot());
+    w.into_bytes()
 }
 
 /// Restores a session from `bytes` over the given static inputs.
@@ -95,53 +89,25 @@ pub fn restore<'e, S: Sink>(
     fallback: Option<&'e dyn CarbonForecaster>,
     bytes: &[u8],
 ) -> Result<Session<'e, S>, SnapshotError> {
-    let mut r = Reader { bytes, at: 0 };
-    let magic = r.take(8)?;
-    if magic != MAGIC {
-        return Err(SnapshotError::Corrupt(
-            "service snapshot magic mismatch".into(),
-        ));
-    }
-    let version = r.u32()?;
-    if version != SERVICE_SNAPSHOT_VERSION {
-        return Err(SnapshotError::Incompatible(format!(
-            "service snapshot version {version}; this build reads version \
-             {SERVICE_SNAPSHOT_VERSION}"
-        )));
-    }
-    let base_name = r.string()?;
+    let mut r = Reader::new(bytes);
+    r.header(MAGIC, SERVICE_SNAPSHOT_VERSION)?;
+    let base_name = r.str()?;
     let base = BasePolicyKind::parse(&base_name)
         .ok_or_else(|| SnapshotError::Incompatible(format!("unknown base policy {base_name:?}")))?;
-    let res_first = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(SnapshotError::Corrupt(format!(
-                "res_first flag must be 0 or 1, got {other}"
-            )))
-        }
-    };
-    let spot = match r.u8()? {
-        0 => None,
-        1 => Some(SpotConfig {
-            j_max: Minutes::new(r.u64()?),
-        }),
-        other => {
-            return Err(SnapshotError::Corrupt(format!(
-                "spot flag must be 0 or 1, got {other}"
-            )))
-        }
-    };
     let policy = PolicySpec {
         base,
-        res_first,
-        spot,
+        res_first: r.bool()?,
+        spot: r.opt(|r| {
+            r.u64().map(|m| SpotConfig {
+                j_max: Minutes::new(m),
+            })
+        })?,
     };
     let snapshots = r.u64()?;
     let tenant_count = r.count(8)?;
     let mut tenants = Vec::with_capacity(tenant_count);
     for _ in 0..tenant_count {
-        let name = r.string()?;
+        let name = r.str()?;
         if name.is_empty() {
             return Err(SnapshotError::Corrupt("empty tenant name".into()));
         }
@@ -170,10 +136,9 @@ pub fn restore<'e, S: Sink>(
         }
         job_tenant.push(tid);
     }
-    let engine_len = r.count(1)?;
-    let engine_bytes = r.take(engine_len)?.to_vec();
+    let engine_bytes = r.bytes()?;
     r.done()?;
-    let mut engine = OnlineEngine::restore(config, carbon, forecaster, sink, &engine_bytes)?;
+    let mut engine = OnlineEngine::restore(config, carbon, forecaster, sink, engine_bytes)?;
     if let Some(faults) = faults {
         engine = engine.attach_faults(faults, fallback);
     }
@@ -187,94 +152,4 @@ pub fn restore<'e, S: Sink>(
     Ok(Session::from_parts(
         engine, policy, tenants, job_tenant, snapshots,
     ))
-}
-
-fn put_u32(w: &mut Vec<u8>, v: u32) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(w: &mut Vec<u8>, v: u64) {
-    w.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(w: &mut Vec<u8>, v: f64) {
-    w.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(w: &mut Vec<u8>, s: &str) {
-    put_u64(w, s.len() as u64);
-    w.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'b> {
-    bytes: &'b [u8],
-    at: usize,
-}
-
-impl<'b> Reader<'b> {
-    fn take(&mut self, n: usize) -> Result<&'b [u8], SnapshotError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|end| *end <= self.bytes.len())
-            .ok_or_else(|| {
-                SnapshotError::Corrupt(format!(
-                    "service snapshot truncated at byte {} (need {n} more)",
-                    self.at
-                ))
-            })?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// An element count, sanity-checked against the bytes remaining so a
-    /// corrupt length cannot trigger a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.bytes.len() - self.at) as u64;
-        if n.saturating_mul(min_elem_bytes.max(1) as u64) > remaining {
-            return Err(SnapshotError::Corrupt(format!(
-                "count {n} exceeds the remaining {remaining} payload bytes"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| SnapshotError::Corrupt("snapshot string is not UTF-8".into()))
-    }
-
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.at != self.bytes.len() {
-            return Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the service snapshot",
-                self.bytes.len() - self.at
-            )));
-        }
-        Ok(())
-    }
 }

@@ -9,6 +9,7 @@ use std::thread;
 use std::time::Duration;
 
 use gaia_serve::{run, ServeOptions};
+use gaia_sim::durable_write;
 
 fn temp_path(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -170,7 +171,7 @@ fn daemon_handles_concurrent_tenants_and_bad_input() {
     let _ = fs::remove_file(&addr_file);
 }
 
-/// A reader racing [`gaia_serve::persist_snapshot`] must only ever see
+/// A reader racing [`durable_write`] of a snapshot must only ever see
 /// a complete old or complete new snapshot at the final path — rename
 /// atomicity plus the pre-rename fsync mean partial bytes are never
 /// observable under the snapshot name.
@@ -180,7 +181,7 @@ fn persist_snapshot_never_exposes_partial_bytes() {
     let _ = fs::remove_file(&path);
     let payload_a = vec![0xAAu8; 64 * 1024];
     let payload_b = vec![0xBBu8; 256 * 1024];
-    gaia_serve::persist_snapshot(&path, &payload_a).expect("initial persist");
+    durable_write(&path, &payload_a).expect("initial persist");
 
     let reader_path = path.clone();
     let reader = thread::spawn(move || {
@@ -202,7 +203,7 @@ fn persist_snapshot_never_exposes_partial_bytes() {
         } else {
             &payload_a
         };
-        gaia_serve::persist_snapshot(&path, payload).expect("persist");
+        durable_write(&path, payload).expect("persist");
     }
     reader.join().expect("reader thread");
 
@@ -218,13 +219,13 @@ fn persist_snapshot_failure_keeps_previous_snapshot() {
     let path = temp_path("wedged.snap");
     let tmp = path.with_extension("tmp");
     let _ = fs::remove_file(&path);
-    gaia_serve::persist_snapshot(&path, b"good snapshot").expect("initial persist");
+    durable_write(&path, b"good snapshot").expect("initial persist");
 
     // Wedge the staging path: a directory where the `.tmp` file goes
     // makes the write fail before anything touches the final name.
     let _ = fs::remove_file(&tmp);
     fs::create_dir(&tmp).expect("wedge staging path");
-    let err = gaia_serve::persist_snapshot(&path, b"half-written").expect_err("persist must fail");
+    let err = durable_write(&path, b"half-written").expect_err("persist must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::IsADirectory);
     assert_eq!(
         fs::read(&path).expect("previous snapshot survives"),
@@ -233,7 +234,7 @@ fn persist_snapshot_failure_keeps_previous_snapshot() {
     fs::remove_dir(&tmp).expect("unwedge");
 
     // Recovery: the next persist succeeds and replaces the bytes whole.
-    gaia_serve::persist_snapshot(&path, b"fresh snapshot").expect("recovered persist");
+    durable_write(&path, b"fresh snapshot").expect("recovered persist");
     assert_eq!(fs::read(&path).expect("snapshot"), b"fresh snapshot");
     assert!(!tmp.exists(), "tmp must not linger after recovery");
     let _ = fs::remove_file(&path);

@@ -7,7 +7,8 @@ use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_obs::{Event, VecSink};
 use gaia_serve::protocol::{Request, Response};
 use gaia_serve::Session;
-use gaia_sim::{ClusterConfig, OnlineEngine};
+use gaia_sim::codec::corruptions;
+use gaia_sim::{ClusterConfig, OnlineEngine, SnapshotError};
 
 fn statics() -> (ClusterConfig, gaia_carbon::CarbonTrace) {
     let config = ClusterConfig::default().with_reserved(2).with_seed(7);
@@ -292,18 +293,21 @@ fn corrupt_service_snapshots_are_rejected() {
     .expect_err("unknown version");
     assert!(err.to_string().contains("version"), "{err}");
 
-    for cut in [0, 7, 11, good.len() - 1] {
+    let restore = |bytes: &[u8]| {
         let mut sink = VecSink::new();
-        gaia_serve::restore(
-            &config,
-            &carbon,
-            &forecaster,
-            &mut sink,
-            None,
-            None,
-            &good[..cut],
-        )
-        .expect_err("truncation");
+        gaia_serve::restore(&config, &carbon, &forecaster, &mut sink, None, None, bytes).map(|_| ())
+    };
+    for cut in 0..good.len() {
+        let err = restore(&good[..cut]).expect_err("truncation");
+        assert!(
+            matches!(err, SnapshotError::Corrupt(_)),
+            "cut at {cut}: {err}"
+        );
+    }
+    // Single-byte overwrites and `u64::MAX` counts decode to a typed
+    // error or a valid session; none may panic or over-allocate.
+    for corrupt in corruptions(&good) {
+        let _ = restore(&corrupt);
     }
 
     // A different cluster is refused by the engine-level fingerprints.

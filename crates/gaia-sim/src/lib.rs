@@ -48,6 +48,7 @@
 
 mod account;
 mod audit;
+pub mod codec;
 mod config;
 mod engine;
 mod error;
@@ -64,6 +65,7 @@ mod snapshot;
 
 pub use account::{ClusterTotals, JobOutcome, SegmentRecord};
 pub use audit::{audit_report, audit_report_faulted, AuditInvariant, AuditReport, AuditViolation};
+pub use codec::durable_write;
 pub use config::{
     CapacityCap, CheckpointConfig, ClusterConfig, EnergyModel, InstanceOverheads, Pricing,
 };

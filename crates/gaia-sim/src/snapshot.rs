@@ -55,6 +55,7 @@ use gaia_time::{Minutes, SimTime};
 use gaia_workload::{Job, JobId};
 
 use crate::account::SegmentRecord;
+use crate::codec::{DecodeError, Reader, Writer};
 use crate::config::ClusterConfig;
 use crate::eventq::EventQueue;
 use crate::online::{CapBlocked, Event, EventKind, OnlineEngine, SegNode, Tag, NO_TIME, SEG_NIL};
@@ -94,6 +95,17 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// Malformed bytes are corrupt; an unknown layout version is
+/// incompatible.
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Malformed(msg) => SnapshotError::Corrupt(msg),
+            DecodeError::UnknownVersion(msg) => SnapshotError::Incompatible(msg),
+        }
+    }
+}
 
 /// FNV-1a over arbitrary bytes; stable, dependency-free fingerprinting.
 ///
@@ -137,374 +149,198 @@ fn purchase_tag(option: PurchaseOption) -> u8 {
     }
 }
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
+fn purchase_from_tag(tag: u8) -> Result<PurchaseOption, SnapshotError> {
+    match tag {
+        0 => Ok(PurchaseOption::Reserved),
+        1 => Ok(PurchaseOption::OnDemand),
+        2 => Ok(PurchaseOption::Spot),
+        other => Err(SnapshotError::Corrupt(format!(
+            "invalid purchase option {other}"
+        ))),
+    }
 }
 
-impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
+fn read_time(r: &mut Reader<'_>) -> Result<SimTime, DecodeError> {
+    Ok(SimTime::from_minutes(r.u64()?))
+}
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
+fn read_minutes(r: &mut Reader<'_>) -> Result<Minutes, DecodeError> {
+    Ok(Minutes::new(r.u64()?))
+}
 
-    fn bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+/// Encodes one segment record. Plain records (`width == 1`,
+/// `work_milli == 0`) use the exact pre-elastic byte layout; extended
+/// records set [`SEG_EXTENDED`] on the purchase byte and append the
+/// width and work fields.
+fn write_segment_record(w: &mut Writer, rec: &SegmentRecord) {
+    w.u64(rec.start.as_minutes());
+    w.u64(rec.end.as_minutes());
+    if rec.width == 1 && rec.work_milli == 0 {
+        w.u8(purchase_tag(rec.option));
+        w.bool(rec.useful);
+    } else {
+        w.u8(purchase_tag(rec.option) | SEG_EXTENDED);
+        w.bool(rec.useful);
+        w.u32(rec.width);
+        w.u64(rec.work_milli);
     }
+}
 
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+/// The inverse of [`write_segment_record`].
+fn read_segment_record(r: &mut Reader<'_>) -> Result<SegmentRecord, SnapshotError> {
+    let start = read_time(r)?;
+    let end = read_time(r)?;
+    let tag = r.u8()?;
+    let option = purchase_from_tag(tag & !SEG_EXTENDED)?;
+    let useful = r.bool()?;
+    let (width, work_milli) = if tag & SEG_EXTENDED != 0 {
+        (r.u32()?, r.u64()?)
+    } else {
+        (1, 0)
+    };
+    if width == 0 {
+        return Err(SnapshotError::Corrupt(
+            "segment record with zero width".to_owned(),
+        ));
     }
+    Ok(SegmentRecord {
+        start,
+        end,
+        option,
+        useful,
+        width,
+        work_milli,
+    })
+}
 
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn time(&mut self, t: SimTime) {
-        self.u64(t.as_minutes());
-    }
-
-    fn minutes(&mut self, m: Minutes) {
-        self.u64(m.as_minutes());
-    }
-
-    fn option_time(&mut self, t: Option<SimTime>) {
-        match t {
-            None => self.u8(0),
-            Some(t) => {
-                self.u8(1);
-                self.time(t);
+/// Encodes a packed decision, resolving segment spans through the
+/// arena. The byte layout matches [`read_decision`] exactly.
+fn write_decision(w: &mut Writer, p: PackedDecision, arena: &PlanArena) {
+    debug_assert!(p.is_some(), "cannot encode an absent decision");
+    if p.kind == DK_ONCE {
+        w.u8(0);
+        w.u64(p.planned.as_minutes());
+        w.bool(p.flags & DF_OPPORTUNISTIC != 0);
+        w.bool(p.flags & DF_SPOT != 0);
+    } else {
+        let elastic = p.kind == DK_ELASTIC;
+        w.u8(if elastic { 2 } else { 1 });
+        w.bool(p.flags & DF_SPOT != 0);
+        let spans = arena.spans_of(p);
+        w.u64(spans.len() as u64);
+        for (seg_idx, &(start, len)) in spans.iter().enumerate() {
+            w.u64(start.as_minutes());
+            w.u64(len.as_minutes());
+            if elastic {
+                w.u32(arena.width_of(p, seg_idx));
+                w.u64(arena.work_of(p, seg_idx));
             }
-        }
-    }
-
-    fn purchase(&mut self, option: PurchaseOption) {
-        self.u8(purchase_tag(option));
-    }
-
-    /// Encodes one segment record. Plain records (`width == 1`,
-    /// `work_milli == 0`) use the exact pre-elastic byte layout;
-    /// extended records set [`SEG_EXTENDED`] on the purchase byte and
-    /// append the width and work fields.
-    fn segment_record(&mut self, rec: &SegmentRecord) {
-        self.time(rec.start);
-        self.time(rec.end);
-        if rec.width == 1 && rec.work_milli == 0 {
-            self.purchase(rec.option);
-            self.bool(rec.useful);
-        } else {
-            self.u8(purchase_tag(rec.option) | SEG_EXTENDED);
-            self.bool(rec.useful);
-            self.u32(rec.width);
-            self.u64(rec.work_milli);
-        }
-    }
-
-    /// Encodes a packed decision, resolving segment spans through the
-    /// arena. The byte layout matches [`Reader::decision`] exactly.
-    fn packed_decision(&mut self, p: PackedDecision, arena: &PlanArena) {
-        debug_assert!(p.is_some(), "cannot encode an absent decision");
-        if p.kind == DK_ONCE {
-            self.u8(0);
-            self.time(p.planned);
-            self.bool(p.flags & DF_OPPORTUNISTIC != 0);
-            self.bool(p.flags & DF_SPOT != 0);
-        } else if p.kind == DK_ELASTIC {
-            self.u8(2);
-            self.bool(p.flags & DF_SPOT != 0);
-            let spans = arena.spans_of(p);
-            self.u64(spans.len() as u64);
-            for (seg_idx, &(start, len)) in spans.iter().enumerate() {
-                self.time(start);
-                self.minutes(len);
-                self.u32(arena.width_of(p, seg_idx));
-                self.u64(arena.work_of(p, seg_idx));
-            }
-        } else {
-            self.u8(1);
-            self.bool(p.flags & DF_SPOT != 0);
-            let spans = arena.spans_of(p);
-            self.u64(spans.len() as u64);
-            for &(start, len) in spans {
-                self.time(start);
-                self.minutes(len);
-            }
-        }
-    }
-
-    fn event_kind(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::Arrival => self.u8(0),
-            EventKind::PlannedStart => self.u8(1),
-            EventKind::SegmentStart(seg) => {
-                self.u8(2);
-                self.u64(seg as u64);
-            }
-            EventKind::FinishOnce => self.u8(3),
-            EventKind::FinishSegment(seg) => {
-                self.u8(4);
-                self.u64(seg as u64);
-            }
-            EventKind::Eviction => self.u8(5),
-            EventKind::CapTick => self.u8(6),
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------
-
-struct Reader<'b> {
-    buf: &'b [u8],
-    pos: usize,
-}
-
-impl<'b> Reader<'b> {
-    fn new(buf: &'b [u8]) -> Reader<'b> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'b [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| {
-                SnapshotError::Corrupt(format!(
-                    "truncated at offset {} (wanted {n} more bytes of {})",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn done(&self) -> Result<(), SnapshotError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt(format!(
-                "{} trailing bytes after the payload",
-                self.buf.len() - self.pos
+fn read_decision(r: &mut Reader<'_>) -> Result<Decision, SnapshotError> {
+    let kind = match r.u8()? {
+        0 => DecisionKind::Once {
+            planned_start: read_time(r)?,
+            opportunistic_reserved: r.bool()?,
+            use_spot: r.bool()?,
+        },
+        1 => {
+            let use_spot = r.bool()?;
+            let n = r.count(16)?;
+            let mut segments = Vec::with_capacity(n);
+            for _ in 0..n {
+                segments.push((read_time(r)?, read_minutes(r)?));
+            }
+            if segments.is_empty() {
+                return Err(SnapshotError::Corrupt("empty segment plan".to_owned()));
+            }
+            DecisionKind::Segments {
+                plan: SegmentPlan { segments },
+                use_spot,
+            }
+        }
+        2 => {
+            let use_spot = r.bool()?;
+            let n = r.count(28)?;
+            let mut segments = Vec::with_capacity(n);
+            for _ in 0..n {
+                segments.push(ElasticSegment {
+                    start: read_time(r)?,
+                    len: read_minutes(r)?,
+                    width: r.u32()?,
+                    work_milli: r.u64()?,
+                });
+            }
+            if segments.is_empty() {
+                return Err(SnapshotError::Corrupt("empty elastic plan".to_owned()));
+            }
+            // Validate before `ElasticPlan::new`, whose contract checks
+            // panic — a corrupt payload must fail cleanly.
+            for seg in &segments {
+                if seg.len.is_zero() || seg.width == 0 || seg.work_milli == 0 {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "degenerate elastic slice at {}",
+                        seg.start
+                    )));
+                }
+            }
+            for pair in segments.windows(2) {
+                if pair[1].start < pair[0].end() {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "elastic slices overlap at {}",
+                        pair[1].start
+                    )));
+                }
+            }
+            DecisionKind::Elastic {
+                plan: ElasticPlan::new(segments),
+                use_spot,
+            }
+        }
+        other => {
+            return Err(SnapshotError::Corrupt(format!(
+                "invalid decision tag {other}"
             )))
         }
-    }
+    };
+    Ok(Decision { kind })
+}
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Corrupt(format!("invalid bool byte {other}"))),
+fn write_event_kind(w: &mut Writer, kind: EventKind) {
+    match kind {
+        EventKind::Arrival => w.u8(0),
+        EventKind::PlannedStart => w.u8(1),
+        EventKind::SegmentStart(seg) => {
+            w.u8(2);
+            w.u64(seg as u64);
         }
+        EventKind::FinishOnce => w.u8(3),
+        EventKind::FinishSegment(seg) => {
+            w.u8(4);
+            w.u64(seg as u64);
+        }
+        EventKind::Eviction => w.u8(5),
+        EventKind::CapTick => w.u8(6),
     }
+}
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A count that must be plausible for the payload size, so corrupt
-    /// lengths fail cleanly instead of attempting a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n.saturating_mul(min_elem_bytes.max(1) as u64) > remaining {
+fn read_event_kind(r: &mut Reader<'_>) -> Result<EventKind, SnapshotError> {
+    Ok(match r.u8()? {
+        0 => EventKind::Arrival,
+        1 => EventKind::PlannedStart,
+        2 => EventKind::SegmentStart(r.u64()? as usize),
+        3 => EventKind::FinishOnce,
+        4 => EventKind::FinishSegment(r.u64()? as usize),
+        5 => EventKind::Eviction,
+        6 => EventKind::CapTick,
+        other => {
             return Err(SnapshotError::Corrupt(format!(
-                "count {n} exceeds the remaining {remaining} payload bytes"
-            )));
+                "invalid event kind {other}"
+            )))
         }
-        Ok(n as usize)
-    }
-
-    fn time(&mut self) -> Result<SimTime, SnapshotError> {
-        Ok(SimTime::from_minutes(self.u64()?))
-    }
-
-    fn minutes(&mut self) -> Result<Minutes, SnapshotError> {
-        Ok(Minutes::new(self.u64()?))
-    }
-
-    fn option_time(&mut self) -> Result<Option<SimTime>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.time()?)),
-            other => Err(SnapshotError::Corrupt(format!(
-                "invalid option tag {other}"
-            ))),
-        }
-    }
-
-    fn purchase(&mut self) -> Result<PurchaseOption, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(PurchaseOption::Reserved),
-            1 => Ok(PurchaseOption::OnDemand),
-            2 => Ok(PurchaseOption::Spot),
-            other => Err(SnapshotError::Corrupt(format!(
-                "invalid purchase option {other}"
-            ))),
-        }
-    }
-
-    /// Decodes one segment record; the inverse of
-    /// [`Writer::segment_record`].
-    fn segment_record(&mut self) -> Result<SegmentRecord, SnapshotError> {
-        let start = self.time()?;
-        let end = self.time()?;
-        let tag = self.u8()?;
-        let option = match tag & !SEG_EXTENDED {
-            0 => PurchaseOption::Reserved,
-            1 => PurchaseOption::OnDemand,
-            2 => PurchaseOption::Spot,
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "invalid purchase option {other}"
-                )))
-            }
-        };
-        let useful = self.bool()?;
-        let (width, work_milli) = if tag & SEG_EXTENDED != 0 {
-            (self.u32()?, self.u64()?)
-        } else {
-            (1, 0)
-        };
-        if width == 0 {
-            return Err(SnapshotError::Corrupt(
-                "segment record with zero width".to_owned(),
-            ));
-        }
-        Ok(SegmentRecord {
-            start,
-            end,
-            option,
-            useful,
-            width,
-            work_milli,
-        })
-    }
-
-    fn decision(&mut self) -> Result<Decision, SnapshotError> {
-        match self.u8()? {
-            0 => {
-                let planned_start = self.time()?;
-                let opportunistic_reserved = self.bool()?;
-                let use_spot = self.bool()?;
-                Ok(Decision {
-                    kind: DecisionKind::Once {
-                        planned_start,
-                        opportunistic_reserved,
-                        use_spot,
-                    },
-                })
-            }
-            1 => {
-                let use_spot = self.bool()?;
-                let n = self.count(16)?;
-                let mut segments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let start = self.time()?;
-                    let len = self.minutes()?;
-                    segments.push((start, len));
-                }
-                if segments.is_empty() {
-                    return Err(SnapshotError::Corrupt("empty segment plan".to_owned()));
-                }
-                Ok(Decision {
-                    kind: DecisionKind::Segments {
-                        plan: SegmentPlan { segments },
-                        use_spot,
-                    },
-                })
-            }
-            2 => {
-                let use_spot = self.bool()?;
-                let n = self.count(28)?;
-                let mut segments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let start = self.time()?;
-                    let len = self.minutes()?;
-                    let width = self.u32()?;
-                    let work_milli = self.u64()?;
-                    segments.push(ElasticSegment {
-                        start,
-                        len,
-                        width,
-                        work_milli,
-                    });
-                }
-                if segments.is_empty() {
-                    return Err(SnapshotError::Corrupt("empty elastic plan".to_owned()));
-                }
-                // Validate before `ElasticPlan::new`, whose contract
-                // checks panic — a corrupt payload must fail cleanly.
-                for seg in &segments {
-                    if seg.len.is_zero() || seg.width == 0 || seg.work_milli == 0 {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "degenerate elastic slice at {}",
-                            seg.start
-                        )));
-                    }
-                }
-                for pair in segments.windows(2) {
-                    if pair[1].start < pair[0].end() {
-                        return Err(SnapshotError::Corrupt(format!(
-                            "elastic slices overlap at {}",
-                            pair[1].start
-                        )));
-                    }
-                }
-                Ok(Decision {
-                    kind: DecisionKind::Elastic {
-                        plan: ElasticPlan::new(segments),
-                        use_spot,
-                    },
-                })
-            }
-            other => Err(SnapshotError::Corrupt(format!(
-                "invalid decision tag {other}"
-            ))),
-        }
-    }
-
-    fn event_kind(&mut self) -> Result<EventKind, SnapshotError> {
-        Ok(match self.u8()? {
-            0 => EventKind::Arrival,
-            1 => EventKind::PlannedStart,
-            2 => EventKind::SegmentStart(self.u64()? as usize),
-            3 => EventKind::FinishOnce,
-            4 => EventKind::FinishSegment(self.u64()? as usize),
-            5 => EventKind::Eviction,
-            6 => EventKind::CapTick,
-            other => {
-                return Err(SnapshotError::Corrupt(format!(
-                    "invalid event kind {other}"
-                )))
-            }
-        })
-    }
+    })
 }
 
 impl<'e, S: Sink> OnlineEngine<'e, S> {
@@ -515,20 +351,18 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
     /// bytes (the event queue is written in its canonical pop order, not
     /// heap-internal layout).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.buf.extend_from_slice(MAGIC);
-        w.u32(SNAPSHOT_VERSION);
+        let mut w = Writer::with_header(MAGIC, SNAPSHOT_VERSION);
         w.u64(config_fingerprint(self.config));
         w.u64(carbon_fingerprint(self.carbon));
 
-        w.time(self.now);
+        w.u64(self.now.as_minutes());
         w.u64(self.seq);
         w.u32(self.elastic_busy);
         w.bool(self.tick_scheduled);
         w.bool(self.in_degraded);
         w.u64(self.completed);
         w.u64(self.cancelled);
-        w.time(self.nominal_makespan);
+        w.u64(self.nominal_makespan.as_minutes());
         w.u32(self.pool.in_use());
 
         w.u64(self.degrade.degraded_decisions);
@@ -540,8 +374,8 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         w.u64(self.jobs.len() as u64);
         for job in &self.jobs {
             w.u64(job.id.0);
-            w.time(job.arrival);
-            w.minutes(job.length);
+            w.u64(job.arrival.as_minutes());
+            w.u64(job.length.as_minutes());
             w.u32(job.cpus);
         }
         // Per-job state: the wire layout predates the columnar engine
@@ -553,12 +387,12 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
                 Tag::Unarrived => w.u8(0),
                 Tag::Waiting => {
                     w.u8(1);
-                    w.packed_decision(self.wait[i], &self.arena);
+                    write_decision(&mut w, self.wait[i], &self.arena);
                 }
                 Tag::RunningOnce => {
                     w.u8(2);
-                    w.purchase(self.run_option[i]);
-                    w.time(self.run_start[i]);
+                    w.u8(purchase_tag(self.run_option[i]));
+                    w.u64(self.run_start[i].as_minutes());
                     w.u64(self.run_aux[i]); // span minutes
                 }
                 Tag::PlanIdle => {
@@ -569,8 +403,8 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
                     w.u8(3);
                     w.u8(1);
                     w.u64(u64::from(self.run_seg[i]));
-                    w.purchase(self.run_option[i]);
-                    w.time(self.run_start[i]);
+                    w.u8(purchase_tag(self.run_option[i]));
+                    w.u64(self.run_start[i].as_minutes());
                     w.u64(self.run_aux[i]); // execution-end minutes
                 }
                 Tag::Done => w.u8(4),
@@ -578,31 +412,28 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             }
         }
         for i in 0..self.jobs.len() {
-            w.option_time(match self.first_start[i] {
-                NO_TIME => None,
-                m => Some(SimTime::from_minutes(m)),
+            let first_start = self.first_start[i];
+            w.opt((first_start != NO_TIME).then_some(&first_start), |w, &m| {
+                w.u64(m)
             });
-            w.time(self.finish[i]);
+            w.u64(self.finish[i].as_minutes());
             w.f64(self.carbon_g[i]);
             w.f64(self.cost[i]);
             w.u32(self.evictions[i]);
-            w.minutes(self.remaining[i]);
+            w.u64(self.remaining[i].as_minutes());
             w.u32(self.starts[i]);
             w.u64(u64::from(self.seg_count[i]));
             let mut node = self.seg_head[i];
             while node != SEG_NIL {
                 let n = &self.seg_nodes[node as usize];
-                w.segment_record(&n.rec);
+                write_segment_record(&mut w, &n.rec);
                 node = n.next;
             }
         }
-        for i in 0..self.jobs.len() {
-            if self.plan[i].is_some() {
-                w.u8(1);
-                w.packed_decision(self.plan[i], &self.arena);
-            } else {
-                w.u8(0);
-            }
+        for p in &self.plan {
+            w.opt(p.is_some().then_some(p), |w, &p| {
+                write_decision(w, p, &self.arena)
+            });
         }
 
         // Canonical event order = pop order, so identical engine states
@@ -611,16 +442,16 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         events.sort_by_key(|e| (e.time, e.prio, e.seq));
         w.u64(events.len() as u64);
         for event in events {
-            w.time(event.time);
+            w.u64(event.time.as_minutes());
             w.u8(event.prio);
             w.u64(event.seq);
             w.u32(event.job);
-            w.event_kind(event.kind);
+            write_event_kind(&mut w, event.kind);
         }
 
         w.u64(self.waiters.len() as u64);
         for &(t, job) in &self.waiters {
-            w.time(t);
+            w.u64(t.as_minutes());
             w.u32(job);
         }
         w.u64(self.cap_queue.len() as u64);
@@ -642,7 +473,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         for &idx in &self.completions {
             w.u32(idx);
         }
-        w.buf
+        w.into_bytes()
     }
 
     /// Restores an engine from `bytes`, re-anchoring it on the same
@@ -660,15 +491,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         bytes: &[u8],
     ) -> Result<Self, SnapshotError> {
         let mut r = Reader::new(bytes);
-        if r.take(8)? != MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic".to_owned()));
-        }
-        let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Incompatible(format!(
-                "snapshot version {version}, this build reads {SNAPSHOT_VERSION}"
-            )));
-        }
+        r.header(MAGIC, SNAPSHOT_VERSION)?;
         let config_fp = r.u64()?;
         if config_fp != config_fingerprint(config) {
             return Err(SnapshotError::Incompatible(
@@ -682,14 +505,14 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             ));
         }
 
-        let now = r.time()?;
+        let now = read_time(&mut r)?;
         let seq = r.u64()?;
         let elastic_busy = r.u32()?;
         let tick_scheduled = r.bool()?;
         let in_degraded = r.bool()?;
         let completed = r.u64()?;
         let cancelled = r.u64()?;
-        let nominal_makespan = r.time()?;
+        let nominal_makespan = read_time(&mut r)?;
         let pool_in_use = r.u32()?;
 
         let degrade = DegradationStats {
@@ -704,8 +527,8 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         let mut jobs = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
             let id = JobId(r.u64()?);
-            let arrival = r.time()?;
-            let length = r.minutes()?;
+            let arrival = read_time(&mut r)?;
+            let length = read_minutes(&mut r)?;
             let cpus = r.u32()?;
             if length.is_zero() || cpus == 0 {
                 return Err(SnapshotError::Corrupt(format!(
@@ -731,23 +554,23 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             let t = match r.u8()? {
                 0 => Tag::Unarrived,
                 1 => {
-                    let decision = r.decision()?;
+                    let decision = read_decision(&mut r)?;
                     waiting = arena.intern(&decision);
                     Tag::Waiting
                 }
                 2 => {
-                    option = r.purchase()?;
-                    start = r.time()?;
-                    aux = r.minutes()?.as_minutes();
+                    option = purchase_from_tag(r.u8()?)?;
+                    start = read_time(&mut r)?;
+                    aux = r.u64()?; // span minutes
                     Tag::RunningOnce
                 }
                 3 => match r.u8()? {
                     0 => Tag::PlanIdle,
                     1 => {
                         seg = r.u64()? as u32;
-                        option = r.purchase()?;
-                        start = r.time()?;
-                        aux = r.time()?.as_minutes();
+                        option = purchase_from_tag(r.u8()?)?;
+                        start = read_time(&mut r)?;
+                        aux = r.u64()?; // execution-end minutes
                         Tag::PlanRunning
                     }
                     other => {
@@ -783,21 +606,18 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         let mut seg_tail = Vec::with_capacity(n_jobs);
         let mut seg_count = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
-            first_start.push(match r.option_time()? {
-                None => NO_TIME,
-                Some(t) => t.as_minutes(),
-            });
-            finish.push(r.time()?);
+            first_start.push(r.opt(|r| r.u64())?.unwrap_or(NO_TIME));
+            finish.push(read_time(&mut r)?);
             carbon_col.push(r.f64()?);
             cost.push(r.f64()?);
             evictions.push(r.u32()?);
-            remaining.push(r.minutes()?);
+            remaining.push(read_minutes(&mut r)?);
             starts.push(r.u32()?);
             let n_segments = r.count(18)?;
             let mut head = SEG_NIL;
             let mut tail = SEG_NIL;
             for _ in 0..n_segments {
-                let rec = r.segment_record()?;
+                let rec = read_segment_record(&mut r)?;
                 let node = seg_nodes.len() as u32;
                 seg_nodes.push(SegNode { rec, next: SEG_NIL });
                 if tail == SEG_NIL {
@@ -813,35 +633,25 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         }
         let mut plan = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
-            plan.push(match r.u8()? {
-                0 => PackedDecision::default(),
-                1 => {
-                    let decision = r.decision()?;
-                    arena.intern(&decision)
-                }
-                other => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "invalid plan-decision tag {other}"
-                    )))
-                }
-            });
+            let decision = r.opt(read_decision)?;
+            plan.push(decision.map_or_else(PackedDecision::default, |d| arena.intern(&d)));
         }
 
         let n_events = r.count(22)?;
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
             events.push(Event {
-                time: r.time()?,
+                time: read_time(&mut r)?,
                 prio: r.u8()?,
                 seq: r.u64()?,
                 job: r.u32()?,
-                kind: r.event_kind()?,
+                kind: read_event_kind(&mut r)?,
             });
         }
         let n_waiters = r.count(12)?;
         let mut waiters = BTreeSet::new();
         for _ in 0..n_waiters {
-            let t = r.time()?;
+            let t = read_time(&mut r)?;
             let job = r.u32()?;
             waiters.insert((t, job));
         }
@@ -1057,25 +867,34 @@ mod tests {
         assert!(matches!(err, SnapshotError::Incompatible(_)));
     }
 
+    /// Pins decoder robustness on the committed mixed-state fixture
+    /// (see `tests/snapshot_fixture.rs` for the scenario behind it):
+    /// every cut is corrupt, and no single-byte overwrite or `u64::MAX`
+    /// count panics or over-allocates — each decodes to a typed error or
+    /// a valid engine.
     #[test]
     fn truncation_is_corrupt() {
-        let config = ClusterConfig::default();
-        let trace = carbon();
+        let bytes = include_bytes!("../tests/fixtures/snapshot_v1_mixed.bin");
+        let config = ClusterConfig::default()
+            .with_reserved(3)
+            .with_seed(7)
+            .with_eviction(crate::EvictionModel::hourly(0.08));
+        let hourly = (0..72)
+            .map(|h| 120.0 + 80.0 * (((h * 37) % 24) as f64) / 24.0)
+            .collect();
+        let trace = CarbonTrace::from_hourly(hourly).unwrap();
         let forecaster = PerfectForecaster::new(&trace);
-        let mut sink = NullSink;
-        let engine = OnlineEngine::new(&config, &trace, &forecaster, &mut sink);
-        let bytes = engine.snapshot();
-        for cut in [0, 4, 11, bytes.len() - 1] {
-            let mut sink2 = NullSink;
-            let err = OnlineEngine::<NullSink>::restore(
-                &config,
-                &trace,
-                &forecaster,
-                &mut sink2,
-                &bytes[..cut],
-            )
-            .unwrap_err();
+        let restore = |bytes: &[u8]| {
+            let mut sink = NullSink;
+            OnlineEngine::restore(&config, &trace, &forecaster, &mut sink, bytes).map(|_| ())
+        };
+        restore(bytes).expect("the fixture restores");
+        for cut in 0..bytes.len() {
+            let err = restore(&bytes[..cut]).unwrap_err();
             assert!(matches!(err, SnapshotError::Corrupt(_)), "cut at {cut}");
+        }
+        for corrupt in crate::codec::corruptions(bytes) {
+            let _ = restore(&corrupt);
         }
     }
 }

@@ -1,24 +1,20 @@
-//! Hand-rolled little-endian binary codec for sweep persistence.
-//!
-//! The vendored serde derives are no-ops, so everything the sweep layer
-//! persists — content-addressed result-cache entries and shard cell
-//! manifests — is encoded here by hand, mirroring the discipline of
-//! `gaia-sim/src/snapshot.rs`: integers little-endian, floats as raw
-//! `f64::to_bits`, strings length-prefixed UTF-8, options as a 0/1 tag.
-//! Readers bounds-check every take, validate enum tags, and reject
-//! trailing bytes, so a truncated or bit-flipped file decodes to an
-//! error instead of a wrong result.
+//! Sweep-domain encodings over the workspace codec
+//! ([`gaia_sim::codec`]): scenarios, grids, cell outcomes and metric
+//! registries, as persisted in content-addressed result-cache entries
+//! and shard cell manifests. Enum tags are validated on decode, so a
+//! truncated or bit-flipped file decodes to an error instead of a wrong
+//! result.
 //!
 //! Determinism matters more than compactness: the same value always
-//! encodes to the same bytes (f64 via `to_bits`, no varints, no maps
-//! with unstable order), which is what lets cell fingerprints and shard
-//! manifests participate in the byte-identity contract.
+//! encodes to the same bytes, which is what lets cell fingerprints and
+//! shard manifests participate in the byte-identity contract.
 
 use gaia_carbon::Region;
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_core::SpotConfig;
 use gaia_metrics::Summary;
 use gaia_obs::{MetricsRegistry, HISTOGRAM_BUCKETS};
+pub(crate) use gaia_sim::codec::{Reader, Writer};
 use gaia_sim::{AuditInvariant, AuditReport, AuditViolation};
 use gaia_time::Minutes;
 use gaia_workload::synth::TraceFamily;
@@ -30,170 +26,6 @@ use crate::CellOutcome;
 /// Decode failures are strings; callers wrap them into their own error
 /// types (cache: treat as miss; merge: report as corrupt shard).
 pub(crate) type Result<T> = std::result::Result<T, String>;
-
-// ---------------------------------------------------------------------
-// Primitive writer / reader
-// ---------------------------------------------------------------------
-
-/// Append-only little-endian byte sink.
-#[derive(Default)]
-pub(crate) struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer::default()
-    }
-
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Raw IEEE-754 bits: NaN payloads and signed zeros round-trip.
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    pub(crate) fn str(&mut self, v: &str) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v.as_bytes());
-    }
-
-    pub(crate) fn opt<T: ?Sized>(&mut self, v: Option<&T>, mut f: impl FnMut(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(inner) => {
-                self.u8(1);
-                f(self, inner);
-            }
-        }
-    }
-}
-
-/// Bounds-checked little-endian byte source.
-pub(crate) struct Reader<'b> {
-    bytes: &'b [u8],
-    pos: usize,
-}
-
-impl<'b> Reader<'b> {
-    pub(crate) fn new(bytes: &'b [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'b [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| {
-                format!(
-                    "truncated: need {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.bytes.len().saturating_sub(self.pos)
-                )
-            })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    /// Rejects trailing bytes so appended garbage is detected.
-    pub(crate) fn done(&self) -> Result<()> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after decoded value",
-                self.bytes.len() - self.pos
-            ))
-        }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(format!("invalid bool tag {other}")),
-        }
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        let raw = self.take(4)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let raw = self.take(8)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Element count, guarded so a corrupt length cannot trigger a huge
-    /// allocation: the remaining input must plausibly hold `count`
-    /// elements of at least `min_elem_bytes` each.
-    pub(crate) fn count(&mut self, min_elem_bytes: usize) -> Result<usize> {
-        let count = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        let need = count.checked_mul(min_elem_bytes.max(1) as u64);
-        match need {
-            Some(need) if need <= remaining => Ok(count as usize),
-            _ => Err(format!(
-                "implausible element count {count} ({} bytes remain)",
-                remaining
-            )),
-        }
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String> {
-        let len = self.count(1)?;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|e| format!("invalid UTF-8 string: {e}"))
-    }
-
-    pub(crate) fn opt<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T>,
-    ) -> Result<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            other => Err(format!("invalid option tag {other}")),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Domain encodings
-// ---------------------------------------------------------------------
 
 fn base_policy_tag(base: BasePolicyKind) -> u8 {
     match base {
@@ -299,8 +131,8 @@ pub(crate) fn read_policy(r: &mut Reader<'_>) -> Result<PolicySpec> {
     let base = base_policy_from_tag(r.u8()?)?;
     let res_first = r.bool()?;
     let spot = r.opt(|r| {
-        Ok(SpotConfig {
-            j_max: Minutes::new(r.u64()?),
+        r.u64().map(|m| SpotConfig {
+            j_max: Minutes::new(m),
         })
     })?;
     Ok(PolicySpec {
@@ -499,7 +331,7 @@ pub(crate) fn read_audit(r: &mut Reader<'_>) -> Result<AuditReport> {
     for _ in 0..n {
         violations.push(AuditViolation {
             invariant: invariant_from_tag(r.u8()?)?,
-            job: r.opt(|r| Ok(JobId(r.u64()?)))?,
+            job: r.opt(|r| r.u64().map(JobId))?,
             detail: r.str()?,
         });
     }
@@ -718,12 +550,9 @@ mod tests {
         let mut w = Writer::new();
         write_scenario(&mut w, &sample_scenarios()[0]);
         let bytes = w.into_bytes();
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+        for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            let err = read_scenario(&mut r)
-                .err()
-                .unwrap_or_else(|| "decoded from truncated input".to_owned());
-            assert!(!err.is_empty());
+            assert!(read_scenario(&mut r).is_err(), "cut at {cut}");
         }
         // Trailing garbage is rejected too.
         let mut extended = bytes.clone();
@@ -731,6 +560,44 @@ mod tests {
         let mut r = Reader::new(&extended);
         read_scenario(&mut r).expect("prefix decodes");
         assert!(r.done().is_err());
+
+        // A grid, an outcome and an audit report: every cut fails, and
+        // overwrites and `u64::MAX` counts give an error or a valid
+        // value, never a panic or an unbounded allocation.
+        let mut w = Writer::new();
+        write_grid(&mut w, &SweepGrid::week(9).seeds(vec![1, 2]));
+        write_outcome(
+            &mut w,
+            &CellOutcome::Failed {
+                error: "invalid policy decision".to_owned(),
+            },
+        );
+        write_audit(
+            &mut w,
+            &AuditReport {
+                violations: vec![AuditViolation {
+                    invariant: AuditInvariant::Timing,
+                    job: Some(JobId(7)),
+                    detail: "late".to_owned(),
+                }],
+                checks_run: 3,
+            },
+        );
+        let bytes = w.into_bytes();
+        let decode = |bytes: &[u8]| {
+            let mut r = Reader::new(bytes);
+            read_grid(&mut r)?;
+            read_outcome(&mut r)?;
+            read_audit(&mut r)?;
+            Ok::<_, String>(r.done()?)
+        };
+        decode(&bytes).expect("the valid payload decodes");
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for corrupt in gaia_sim::codec::corruptions(&bytes) {
+            let _ = decode(&corrupt);
+        }
     }
 
     #[test]

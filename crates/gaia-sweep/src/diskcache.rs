@@ -11,10 +11,11 @@
 //! stored outcome — summary, audit report, retry provenance, optional
 //! per-cell trace, and the cell's metric contributions.
 //!
-//! Entries are written with the same tmp + rename + fsync discipline as
-//! the serving layer's snapshots, so a SIGKILL mid-write never leaves a
-//! corrupt entry: readers either see the complete file or nothing, and
-//! anything that fails to decode is treated as a miss and overwritten.
+//! Entries are written with [`gaia_sim::durable_write`], the one
+//! durable write the serving layer's snapshots also use, so a SIGKILL
+//! mid-write never leaves a corrupt entry: readers either see the
+//! complete file or nothing, and anything that fails to decode is
+//! treated as a miss and overwritten.
 //!
 //! Resumability falls out of the design: an interrupted run re-executed
 //! with the same cache directory finds every finished cell by content
@@ -25,11 +26,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::{fs, io};
 
 use gaia_fault::FaultSchedule;
-use gaia_sim::fnv1a;
+use gaia_sim::{durable_write, fnv1a};
 
 use crate::codec::{self, Reader, Writer};
 use crate::grid::Scenario;
-use crate::store::atomic_write;
 use crate::CellOutcome;
 
 /// Bump when the entry format or anything upstream of a cell's result
@@ -178,7 +178,7 @@ impl DiskCache {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        atomic_write(&path, &encode_entry(scenario, fingerprint, entry))?;
+        durable_write(&path, &encode_entry(scenario, fingerprint, entry))?;
         self.persists.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -203,38 +203,18 @@ pub(crate) fn outcome_has_audit(outcome: &CellOutcome) -> bool {
 }
 
 fn encode_entry(scenario: &Scenario, fingerprint: u64, entry: &CellEntry) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.bytes(ENTRY_MAGIC);
-    w.u32(RESULT_CACHE_VERSION);
+    let mut w = Writer::with_header(ENTRY_MAGIC, RESULT_CACHE_VERSION);
     w.u64(fingerprint);
     codec::write_scenario(&mut w, scenario);
     codec::write_outcome(&mut w, &entry.outcome);
-    w.opt(entry.trace.as_deref(), |w, trace: &[u8]| {
-        w.u64(trace.len() as u64);
-        w.bytes(trace);
-    });
-    w.opt(entry.metrics.as_deref(), |w, metrics: &[u8]| {
-        w.u64(metrics.len() as u64);
-        w.bytes(metrics);
-    });
+    w.opt(entry.trace.as_deref(), Writer::bytes);
+    w.opt(entry.metrics.as_deref(), Writer::bytes);
     w.into_bytes()
 }
 
 fn decode_entry(bytes: &[u8], scenario: &Scenario, fingerprint: u64) -> Result<CellEntry, String> {
     let mut r = Reader::new(bytes);
-    let mut magic = [0u8; 8];
-    for byte in magic.iter_mut() {
-        *byte = r.u8()?;
-    }
-    if &magic != ENTRY_MAGIC {
-        return Err("bad magic".to_owned());
-    }
-    let version = r.u32()?;
-    if version != RESULT_CACHE_VERSION {
-        return Err(format!(
-            "version {version} != current {RESULT_CACHE_VERSION}"
-        ));
-    }
+    r.header(ENTRY_MAGIC, RESULT_CACHE_VERSION)?;
     if r.u64()? != fingerprint {
         return Err("fingerprint mismatch".to_owned());
     }
@@ -245,22 +225,8 @@ fn decode_entry(bytes: &[u8], scenario: &Scenario, fingerprint: u64) -> Result<C
         return Err(format!("scenario mismatch (stored {})", stored.key()));
     }
     let outcome = codec::read_outcome(&mut r)?;
-    let trace = r.opt(|r| {
-        let len = r.count(1)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(r.u8()?);
-        }
-        Ok(out)
-    })?;
-    let metrics = r.opt(|r| {
-        let len = r.count(1)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(r.u8()?);
-        }
-        Ok(out)
-    })?;
+    let trace = r.opt(|r| r.bytes().map(<[u8]>::to_vec))?;
+    let metrics = r.opt(|r| r.bytes().map(<[u8]>::to_vec))?;
     r.done()?;
     Ok(CellEntry {
         outcome,
@@ -388,6 +354,23 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(cache.lookup(&sc, fp, EntryNeeds::default()).is_none());
         fs::remove_dir_all(&dir).unwrap();
+
+        // Every cut of an entry carrying every optional part fails to
+        // decode; overwrites and `u64::MAX` counts decode to an error or
+        // a valid entry, never a panic or an unbounded allocation.
+        let full = CellEntry {
+            outcome: completed(),
+            trace: Some(b"{\"ev\":\"x\"}\n".to_vec()),
+            metrics: Some(vec![7; 24]),
+        };
+        let good = encode_entry(&sc, fp, &full);
+        decode_entry(&good, &sc, fp).expect("a valid entry decodes");
+        for cut in 0..good.len() {
+            assert!(decode_entry(&good[..cut], &sc, fp).is_err(), "cut at {cut}");
+        }
+        for corrupt in gaia_sim::codec::corruptions(&good) {
+            let _ = decode_entry(&corrupt, &sc, fp);
+        }
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use cache::{CacheStats, TraceCache};
 pub use diskcache::{DiskCacheStats, RESULT_CACHE_VERSION};
 pub use exec::{default_workers, Executor};
 pub use grid::{ClusterSpec, QueueSpec, ScaleSpec, Scenario, SweepGrid};
-pub use store::{atomic_write, ResultStore, TimingBench};
+pub use store::{ResultStore, TimingBench};
 
 use diskcache::{CellEntry, DiskCache, EntryNeeds};
 

@@ -40,11 +40,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use gaia_obs::MetricsRegistry;
-use gaia_sim::fnv1a;
+use gaia_sim::{durable_write, fnv1a};
 
 use crate::cache::CacheStats;
 use crate::codec::{self, Reader, Writer};
-use crate::store::atomic_write;
 use crate::{CellOutcome, ScenarioResult, SweepGrid, SweepRun};
 
 /// Bump when the `cells.bin` layout changes; old shard files then fail
@@ -158,7 +157,7 @@ pub fn write_shard(
     }
 
     if let Some(registry) = metrics {
-        atomic_write(&dir.join("metrics.bin"), &metrics_without_cache(registry))?;
+        durable_write(&dir.join("metrics.bin"), &metrics_without_cache(registry))?;
     }
     let failed = run.failed_cells().len();
     let manifest = format!(
@@ -172,11 +171,9 @@ pub fn write_shard(
         run.audited,
         metrics.is_some(),
     );
-    atomic_write(&dir.join("manifest.json"), manifest.as_bytes())?;
+    durable_write(&dir.join("manifest.json"), manifest.as_bytes())?;
 
-    let mut w = Writer::new();
-    w.bytes(SHARD_MAGIC);
-    w.u32(SHARD_FORMAT_VERSION);
+    let mut w = Writer::with_header(SHARD_MAGIC, SHARD_FORMAT_VERSION);
     codec::write_grid(&mut w, &run.grid);
     w.u64(index as u64);
     w.u64(of as u64);
@@ -193,7 +190,7 @@ pub fn write_shard(
         codec::write_scenario(&mut w, &result.scenario);
         codec::write_outcome(&mut w, &result.outcome);
     }
-    atomic_write(&dir.join("cells.bin"), &w.into_bytes())
+    durable_write(&dir.join("cells.bin"), &w.into_bytes())
 }
 
 /// Reads one shard directory back. Fails on I/O errors and on any
@@ -207,15 +204,7 @@ pub fn read_shard(dir: &Path) -> Result<ShardSlice, MergeError> {
 
 fn decode_slice(bytes: &[u8]) -> Result<ShardSlice, String> {
     let mut r = Reader::new(bytes);
-    if r.take(SHARD_MAGIC.len())? != SHARD_MAGIC {
-        return Err("not a gaia shard file (bad magic)".to_owned());
-    }
-    let version = r.u32()?;
-    if version != SHARD_FORMAT_VERSION {
-        return Err(format!(
-            "shard format v{version} is not the supported v{SHARD_FORMAT_VERSION}"
-        ));
-    }
+    r.header(SHARD_MAGIC, SHARD_FORMAT_VERSION)?;
     let grid = codec::read_grid(&mut r)?;
     let index = r.u64()? as usize;
     let of = r.u64()? as usize;
@@ -223,7 +212,12 @@ fn decode_slice(bytes: &[u8]) -> Result<ShardSlice, String> {
         return Err(format!("shard index {index} out of range (of {of})"));
     }
     let workers = r.u64()? as usize;
-    let wall = Duration::from_secs_f64(r.f64()?.clamp(0.0, 1e9));
+    let wall = r.f64()?;
+    if wall.is_nan() {
+        // `clamp` passes NaN through and `Duration` panics on it.
+        return Err("shard wall-clock is NaN".to_owned());
+    }
+    let wall = Duration::from_secs_f64(wall.clamp(0.0, 1e9));
     let audited = r.bool()?;
     let has_metrics = r.bool()?;
     let cache_stats = CacheStats {

@@ -22,10 +22,11 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use gaia_obs::{MetricsRegistry, Profiler};
+use gaia_sim::durable_write;
 
 use crate::agg::GroupSummary;
 use crate::SweepRun;
@@ -84,20 +85,20 @@ impl ResultStore {
         metrics: Option<&MetricsRegistry>,
         profile: Option<&Profiler>,
     ) -> io::Result<()> {
-        atomic_write(
+        durable_write(
             &self.dir.join("scenarios.csv"),
             scenarios_csv(run).as_bytes(),
         )?;
         let groups = crate::agg::across_seed_groups(run);
-        atomic_write(
+        durable_write(
             &self.dir.join("aggregate.csv"),
             aggregate_csv(&groups).as_bytes(),
         )?;
-        atomic_write(
+        durable_write(
             &self.dir.join("aggregate.json"),
             aggregate_json(&groups).as_bytes(),
         )?;
-        atomic_write(
+        durable_write(
             &self.dir.join("manifest.json"),
             manifest_json_observed(run, timing, profile).as_bytes(),
         )?;
@@ -111,38 +112,8 @@ impl ResultStore {
     pub fn write_metrics(&self, registry: &MetricsRegistry) -> io::Result<()> {
         let mut json = registry.snapshot_json();
         json.push('\n');
-        atomic_write(&self.dir.join("metrics.json"), json.as_bytes())
+        durable_write(&self.dir.join("metrics.json"), json.as_bytes())
     }
-}
-
-/// Durable atomic file replacement: write to a `.tmp` sibling, fsync
-/// it, rename over the target, then fsync the parent directory — the
-/// same discipline as the serving layer's snapshot writes. On any
-/// failure the tmp file is removed and the previous target contents (if
-/// any) survive untouched, so a reader racing a writer — or a process
-/// SIGKILLed mid-write — observes either the old complete bytes or the
-/// new complete bytes, never a truncated file.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let written = (|| {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        // fsync before rename: an unflushed rename can survive a crash
-        // while its contents do not, which is exactly the truncated-file
-        // corruption this function exists to rule out.
-        file.sync_all()?;
-        fs::rename(&tmp, path)
-    })();
-    if let Err(e) = written {
-        let _ = fs::remove_file(&tmp);
-        return Err(e);
-    }
-    // fsync the directory so the rename itself is durable.
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    fs::File::open(parent)?.sync_all()
 }
 
 /// Quotes one CSV field per RFC 4180: fields containing a comma, a
@@ -568,13 +539,13 @@ mod tests {
     fn atomic_write_failure_preserves_old_contents_and_removes_tmp() {
         let dir = tempdir("atomic-fail");
         let target = dir.join("manifest.json");
-        atomic_write(&target, b"old complete bytes").unwrap();
+        durable_write(&target, b"old complete bytes").unwrap();
 
         // Failure before the tmp file exists: the target's `.tmp`
         // sibling path is occupied by a directory, so `File::create`
         // fails and the old contents survive.
         fs::create_dir(dir.join("manifest.tmp")).unwrap();
-        assert!(atomic_write(&target, b"new bytes").is_err());
+        assert!(durable_write(&target, b"new bytes").is_err());
         assert_eq!(fs::read(&target).unwrap(), b"old complete bytes");
         fs::remove_dir(dir.join("manifest.tmp")).unwrap();
 
@@ -584,7 +555,7 @@ mod tests {
         let dir_target = dir.join("occupied");
         fs::create_dir(&dir_target).unwrap();
         fs::write(dir_target.join("x"), b"x").unwrap();
-        assert!(atomic_write(&dir_target, b"bytes").is_err());
+        assert!(durable_write(&dir_target, b"bytes").is_err());
         assert!(!dir.join("occupied.tmp").exists(), "tmp not removed");
 
         fs::remove_dir_all(&dir).unwrap();
@@ -601,7 +572,7 @@ mod tests {
         // truncation is detectable.
         let a: Vec<u8> = std::iter::repeat_n(b'a', 64 * 1024).collect();
         let b: Vec<u8> = std::iter::repeat_n(b'b', 96 * 1024).collect();
-        atomic_write(&target, &a).unwrap();
+        durable_write(&target, &a).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
         let reader = {
@@ -623,7 +594,7 @@ mod tests {
             })
         };
         for i in 0..200 {
-            atomic_write(&target, if i % 2 == 0 { &b } else { &a }).unwrap();
+            durable_write(&target, if i % 2 == 0 { &b } else { &a }).unwrap();
         }
         stop.store(true, Ordering::Relaxed);
         let reads = reader.join().expect("reader thread");

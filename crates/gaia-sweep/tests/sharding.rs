@@ -12,7 +12,8 @@
 //! * property tests over random grids × shard counts, and over random
 //!   surviving-cache-entry subsets (a model of arbitrary kill points);
 //! * corruption recovery: a truncated or garbage cache entry is a
-//!   miss, never an error or a wrong result.
+//!   miss, never an error or a wrong result, and a corrupt shard slice
+//!   is a format error, never a panic.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,6 +21,7 @@ use std::path::{Path, PathBuf};
 use gaia_carbon::Region;
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_obs::MetricsRegistry;
+use gaia_sim::codec::corruptions;
 use gaia_sweep::{shard, store, Executor, ObsHooks, SweepGrid};
 use proptest::prelude::*;
 
@@ -240,6 +242,31 @@ fn corrupt_cache_entries_are_recomputed_not_trusted() {
         .execute()
         .expect("warm sweep");
     assert_eq!(warm.disk_cache.expect("stats").hits, 2);
+
+    // The shard slice format under the same single-fault corruptions:
+    // every cut is a format error, and no overwrite or `u64::MAX` count
+    // panics or over-allocates. (Cache entries get the same sweep in
+    // the crate's own `diskcache` tests, where their decoder is
+    // reachable without a simulation per corruption.)
+    let shard_dir = scratch.0.join("shard");
+    shard::write_shard(&shard_dir, &warm, None).expect("write shard slice");
+    let cells = shard_dir.join("cells.bin");
+    let good = fs::read(&cells).expect("read cells.bin");
+    shard::read_shard(&shard_dir).expect("the written slice reads back");
+    let read_corrupt = |bytes: &[u8]| {
+        fs::write(&cells, bytes).expect("write corrupt cells.bin");
+        shard::read_shard(&shard_dir)
+    };
+    for cut in 0..good.len() {
+        let err = read_corrupt(&good[..cut]).expect_err("truncated slice");
+        assert!(
+            matches!(err, shard::MergeError::Format(..)),
+            "cut at {cut}: {err}"
+        );
+    }
+    for corrupt in corruptions(&good) {
+        let _ = read_corrupt(&corrupt);
+    }
 }
 
 /// Every `*.cell` entry file under the cache root, in sorted order.
