@@ -107,6 +107,86 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-6 + 1e-9 * b.abs()
 }
 
+/// The reserved pool's occupancy, built once per audit by sorting the
+/// reserved segment endpoints and shared by the occupancy and
+/// work-conservation families.
+///
+/// A segment counts over its closed span `[start, end]`, so at instant
+/// `t` the busy CPUs are `Σ{start ≤ t} − Σ{end < t}`, and on the open
+/// interval after `t` they are `Σ{start ≤ t} − Σ{end ≤ t}`. Inverted
+/// segments (`end < start`) cover no instant under that reading and are
+/// left out; the timing family reports them.
+struct ReservedTimeline {
+    /// `(start, Σ cpus of this and every earlier entry)`, by start.
+    starts: Vec<(SimTime, u64)>,
+    /// `(end, Σ cpus of this and every earlier entry)`, by end.
+    ends: Vec<(SimTime, u64)>,
+}
+
+impl ReservedTimeline {
+    fn new(report: &SimReport) -> Self {
+        let mut starts = Vec::new();
+        let mut ends = Vec::new();
+        for outcome in &report.jobs {
+            for segment in &outcome.segments {
+                if segment.option == PurchaseOption::Reserved && segment.start <= segment.end {
+                    let cpus = segment.cpus_used(outcome.job.cpus) as u64;
+                    starts.push((segment.start, cpus));
+                    ends.push((segment.end, cpus));
+                }
+            }
+        }
+        for endpoints in [&mut starts, &mut ends] {
+            endpoints.sort_unstable_by_key(|&(t, _)| t);
+            let mut sum = 0;
+            for (_, cpus) in endpoints.iter_mut() {
+                sum += *cpus;
+                *cpus = sum;
+            }
+        }
+        ReservedTimeline { starts, ends }
+    }
+
+    /// Σ cpus over the first `n` entries of `endpoints`.
+    fn sum(endpoints: &[(SimTime, u64)], n: usize) -> u64 {
+        n.checked_sub(1).map_or(0, |last| endpoints[last].1)
+    }
+
+    /// Reserved CPUs busy at instant `t` under the closed reading.
+    fn busy_at(&self, t: SimTime) -> u64 {
+        let started = self.starts.partition_point(|&(start, _)| start <= t);
+        let ended = self.ends.partition_point(|&(end, _)| end < t);
+        Self::sum(&self.starts, started) - Self::sum(&self.ends, ended)
+    }
+
+    /// `(t, CPUs busy on the open interval after t)` for every distinct
+    /// endpoint `t`, ascending: a merge walk over both lists.
+    fn busy_after_each(&self) -> impl Iterator<Item = (SimTime, u64)> + '_ {
+        let (mut started, mut ended) = (0, 0);
+        std::iter::from_fn(move || {
+            let t = [self.starts.get(started), self.ends.get(ended)]
+                .into_iter()
+                .flatten()
+                .map(|&(t, _)| t)
+                .min()?;
+            while self
+                .starts
+                .get(started)
+                .is_some_and(|&(start, _)| start == t)
+            {
+                started += 1;
+            }
+            while self.ends.get(ended).is_some_and(|&(end, _)| end == t) {
+                ended += 1;
+            }
+            Some((
+                t,
+                Self::sum(&self.starts, started) - Self::sum(&self.ends, ended),
+            ))
+        })
+    }
+}
+
 struct Auditor<'a> {
     report: &'a SimReport,
     config: &'a ClusterConfig,
@@ -135,8 +215,8 @@ struct Auditor<'a> {
 ///    [`ClusterTotals`] equals the re-aggregated outcomes, all within
 ///    1e-6.
 /// 4. **Work conservation** — every on-demand segment starts at an
-///    instant when reserved capacity was exhausted (the engine always
-///    tries reserved first).
+///    instant when the `config.reserved_cpus` pool was exhausted (the
+///    engine always tries reserved first).
 /// 5. **Timing** — completion = finish − arrival, completion = waiting +
 ///    length, completion ≥ length, and every segment is well-formed and
 ///    starts at or after arrival.
@@ -176,9 +256,10 @@ pub fn audit_report_faulted(
         out: AuditReport::default(),
     };
     auditor.check_segment_coverage();
-    auditor.check_occupancy();
+    let reserved = ReservedTimeline::new(report);
+    auditor.check_occupancy(&reserved);
     auditor.check_accounting();
-    auditor.check_work_conservation();
+    auditor.check_work_conservation(&reserved);
     auditor.check_timing();
     auditor.check_degradation();
     auditor.out
@@ -287,9 +368,9 @@ impl Auditor<'_> {
     /// interval between events. Interval occupancy is exact (no same-
     /// instant ordering ambiguity), so this cannot false-positive; it
     /// checks the sustained occupancy the capacity contract is about.
-    fn check_occupancy(&mut self) {
+    fn check_occupancy(&mut self, reserved: &ReservedTimeline) {
         self.tally();
-        self.sweep_reserved();
+        self.sweep_reserved(reserved);
         if self.config.overheads.is_none() {
             if let CapacityCap::Static(cap) = self.config.capacity_cap {
                 self.tally();
@@ -298,28 +379,9 @@ impl Auditor<'_> {
         }
     }
 
-    fn sweep_reserved(&mut self) {
-        let capacity = self.config.reserved_cpus as i64;
-        // (time, delta) with releases sorted before acquisitions.
-        let mut events: Vec<(SimTime, i64)> = Vec::new();
-        for outcome in &self.report.jobs {
-            for segment in &outcome.segments {
-                if segment.option == PurchaseOption::Reserved {
-                    let cpus = segment.cpus_used(outcome.job.cpus) as i64;
-                    events.push((segment.start, cpus));
-                    events.push((segment.end, -cpus));
-                }
-            }
-        }
-        events.sort();
-        let mut busy = 0i64;
-        let mut i = 0;
-        while i < events.len() {
-            let t = events[i].0;
-            while i < events.len() && events[i].0 == t {
-                busy += events[i].1;
-                i += 1;
-            }
+    fn sweep_reserved(&mut self, reserved: &ReservedTimeline) {
+        let capacity = self.config.reserved_cpus as u64;
+        for (t, busy) in reserved.busy_after_each() {
             if busy > capacity {
                 self.violation(
                     AuditInvariant::Occupancy,
@@ -473,21 +535,25 @@ impl Auditor<'_> {
             || totals.total_completion != expected.total_completion
             || totals.evictions != expected.evictions
             || totals.jobs != expected.jobs
+            || totals.reserved_capacity != expected.reserved_capacity
         {
             self.violation(
                 AuditInvariant::Accounting,
                 None,
                 format!(
-                    "totals counters (waiting {}, completion {}, evictions {}, jobs {}) \
-                     differ from re-aggregation (waiting {}, completion {}, evictions {}, jobs {})",
+                    "totals counters (waiting {}, completion {}, evictions {}, jobs {}, \
+                     reserved capacity {}) differ from re-aggregation (waiting {}, \
+                     completion {}, evictions {}, jobs {}, reserved capacity {})",
                     totals.total_waiting,
                     totals.total_completion,
                     totals.evictions,
                     totals.jobs,
+                    totals.reserved_capacity,
                     expected.total_waiting,
                     expected.total_completion,
                     expected.evictions,
-                    expected.jobs
+                    expected.jobs,
+                    expected.reserved_capacity
                 ),
             );
         }
@@ -500,20 +566,8 @@ impl Auditor<'_> {
     /// engine may legitimately start blocked work midway through a batch
     /// of same-instant releases, and the lenient reading keeps those
     /// legal interleavings out of the violation list.
-    fn check_work_conservation(&mut self) {
-        let capacity = self.report.totals.reserved_capacity as u64;
-        let mut reserved: Vec<(SimTime, SimTime, u32)> = Vec::new();
-        for outcome in &self.report.jobs {
-            for segment in &outcome.segments {
-                if segment.option == PurchaseOption::Reserved {
-                    reserved.push((
-                        segment.start,
-                        segment.end,
-                        segment.cpus_used(outcome.job.cpus),
-                    ));
-                }
-            }
-        }
+    fn check_work_conservation(&mut self, reserved: &ReservedTimeline) {
+        let capacity = self.config.reserved_cpus as u64;
         for outcome in &self.report.jobs {
             for segment in &outcome.segments {
                 if segment.option != PurchaseOption::OnDemand {
@@ -521,11 +575,7 @@ impl Auditor<'_> {
                 }
                 self.tally();
                 let t = segment.start;
-                let busy: u64 = reserved
-                    .iter()
-                    .filter(|&&(start, end, _)| start <= t && t <= end)
-                    .map(|&(_, _, cpus)| cpus as u64)
-                    .sum();
+                let busy = reserved.busy_at(t);
                 if busy + segment.cpus_used(outcome.job.cpus) as u64 <= capacity {
                     self.violation(
                         AuditInvariant::WorkConservation,
@@ -608,7 +658,7 @@ impl Auditor<'_> {
                     segment_cost(
                         &self.config.pricing,
                         s.option,
-                        outcome.job.cpus,
+                        s.cpus_used(outcome.job.cpus),
                         s.start,
                         s.end,
                     ) * (multiplier - 1.0)
@@ -1016,6 +1066,218 @@ mod tests {
             .iter()
             .any(|v| v.invariant == AuditInvariant::Degradation
                 && v.detail.contains("price_surcharge")));
+    }
+
+    #[test]
+    fn forged_reserved_capacity_is_flagged() {
+        let (mut report, config, carbon) = run_default();
+        report.totals.reserved_capacity += 1;
+        let audit = audit_report(&report, &config, &carbon);
+        assert!(audit
+            .violations
+            .iter()
+            .any(|v| v.invariant == AuditInvariant::Accounting
+                && v.detail.contains("reserved capacity 3")));
+    }
+
+    impl Auditor<'_> {
+        /// The O(R·D) reference for [`Auditor::check_work_conservation`]:
+        /// sums every reserved segment for each on-demand start.
+        fn check_work_conservation_oracle(&mut self) {
+            let capacity = self.config.reserved_cpus as u64;
+            let mut reserved: Vec<(SimTime, SimTime, u32)> = Vec::new();
+            for outcome in &self.report.jobs {
+                for segment in &outcome.segments {
+                    if segment.option == PurchaseOption::Reserved {
+                        reserved.push((
+                            segment.start,
+                            segment.end,
+                            segment.cpus_used(outcome.job.cpus),
+                        ));
+                    }
+                }
+            }
+            for outcome in &self.report.jobs {
+                for segment in &outcome.segments {
+                    if segment.option != PurchaseOption::OnDemand {
+                        continue;
+                    }
+                    self.tally();
+                    let t = segment.start;
+                    let busy: u64 = reserved
+                        .iter()
+                        .filter(|&&(start, end, _)| start <= t && t <= end)
+                        .map(|&(_, _, cpus)| cpus as u64)
+                        .sum();
+                    if busy + segment.cpus_used(outcome.job.cpus) as u64 <= capacity {
+                        self.violation(
+                            AuditInvariant::WorkConservation,
+                            Some(outcome.job.id),
+                            format!(
+                                "started on-demand at {t} although only {busy}/{capacity} \
+                                 reserved CPUs were busy"
+                            ),
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The event-sort reference for [`Auditor::sweep_reserved`],
+        /// skipping inverted segments as the timeline does.
+        fn sweep_reserved_oracle(&mut self) {
+            let capacity = self.config.reserved_cpus as i64;
+            // (time, delta) with releases sorted before acquisitions.
+            let mut events: Vec<(SimTime, i64)> = Vec::new();
+            for outcome in &self.report.jobs {
+                for segment in &outcome.segments {
+                    if segment.option == PurchaseOption::Reserved && segment.start <= segment.end {
+                        let cpus = segment.cpus_used(outcome.job.cpus) as i64;
+                        events.push((segment.start, cpus));
+                        events.push((segment.end, -cpus));
+                    }
+                }
+            }
+            events.sort();
+            let mut busy = 0i64;
+            let mut i = 0;
+            while i < events.len() {
+                let t = events[i].0;
+                while i < events.len() && events[i].0 == t {
+                    busy += events[i].1;
+                    i += 1;
+                }
+                if busy > capacity {
+                    self.violation(
+                        AuditInvariant::Occupancy,
+                        None,
+                        format!("{busy} reserved CPUs busy after {t}, capacity is {capacity}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// `(start, end, option, width)`: minutes, then 0 reserved, 1
+    /// on-demand, else spot.
+    type Span = (u64, u64, u8, u32);
+
+    /// A report over `jobs`, each `(cpus, spans)`. Only the segment
+    /// records matter to the capacity families.
+    fn synthetic_report(jobs: Vec<(u32, Vec<Span>)>, config: &ClusterConfig) -> SimReport {
+        let outcomes: Vec<crate::JobOutcome> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, (cpus, segments))| crate::JobOutcome {
+                job: Job::new(JobId(i as u64), SimTime::ORIGIN, Minutes::new(1), cpus),
+                first_start: SimTime::ORIGIN,
+                finish: SimTime::ORIGIN,
+                waiting: Minutes::ZERO,
+                completion: Minutes::ZERO,
+                carbon_g: 0.0,
+                cost: 0.0,
+                segments: segments
+                    .into_iter()
+                    .map(|(start, end, option, width)| SegmentRecord {
+                        start: SimTime::from_minutes(start),
+                        end: SimTime::from_minutes(end),
+                        option: match option {
+                            0 => PurchaseOption::Reserved,
+                            1 => PurchaseOption::OnDemand,
+                            _ => PurchaseOption::Spot,
+                        },
+                        useful: true,
+                        width,
+                        work_milli: 0,
+                    })
+                    .collect(),
+                evictions: 0,
+            })
+            .collect();
+        SimReport {
+            totals: ClusterTotals::aggregate(&[], config, Minutes::ZERO),
+            jobs: outcomes,
+            timeline: Default::default(),
+            degradation: Default::default(),
+            transfer: Default::default(),
+        }
+    }
+
+    fn auditor<'a>(
+        report: &'a SimReport,
+        config: &'a ClusterConfig,
+        carbon: &'a CarbonTrace,
+    ) -> Auditor<'a> {
+        Auditor {
+            report,
+            config,
+            carbon,
+            faults: None,
+            out: AuditReport::default(),
+        }
+    }
+
+    #[test]
+    fn inverted_reserved_segment_hides_no_oversubscription() {
+        // Two CPUs over [0, 120] fill the pool; a third over [10, 20]
+        // oversubscribes it. An inverted span over the same window covers
+        // no instant and must not cancel the excess out.
+        let carbon = trace();
+        let config = ClusterConfig::default().with_reserved(2);
+        let report = synthetic_report(
+            vec![
+                (2, vec![(0, 120, 0, 1)]),
+                (1, vec![(10, 20, 0, 1), (20, 10, 0, 1)]),
+            ],
+            &config,
+        );
+        let mut audit = auditor(&report, &config, &carbon);
+        audit.sweep_reserved(&ReservedTimeline::new(&report));
+        let details: Vec<&str> = audit
+            .out
+            .violations
+            .iter()
+            .map(|v| v.detail.as_str())
+            .collect();
+        assert_eq!(
+            details,
+            ["3 reserved CPUs busy after d0+00:10, capacity is 2"],
+            "{details:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Both capacity families over the shared timeline report exactly
+        /// what their reference implementations report, in the same
+        /// order and words, with the same tally. Endpoints come from a
+        /// narrow range so same-instant starts and ends, zero-length and
+        /// inverted spans are all common.
+        #[test]
+        fn capacity_families_match_their_oracles(
+            jobs in proptest::collection::vec(
+                (
+                    1u32..4,
+                    proptest::collection::vec((0u64..12, 0u64..12, 0u8..3, 1u32..4), 0..6),
+                ),
+                0..10,
+            ),
+            capacity in 0u32..25,
+        ) {
+            let carbon = trace();
+            let config = ClusterConfig::default().with_reserved(capacity);
+            let report = synthetic_report(jobs, &config);
+            let reserved = ReservedTimeline::new(&report);
+            let mut fast = auditor(&report, &config, &carbon);
+            fast.check_work_conservation(&reserved);
+            fast.sweep_reserved(&reserved);
+            let mut oracle = auditor(&report, &config, &carbon);
+            oracle.check_work_conservation_oracle();
+            oracle.sweep_reserved_oracle();
+            proptest::prop_assert_eq!(&fast.out.violations, &oracle.out.violations);
+            proptest::prop_assert_eq!(fast.out.checks_run, oracle.out.checks_run);
+        }
     }
 
     #[test]

@@ -243,11 +243,18 @@ impl<'a> Simulation<'a> {
         if let Some(faults) = self.faults {
             engine = engine.with_faults(faults, fallback);
         }
+        // Admission and report assembly are timed as `event_loop` too, so
+        // the phase covers the whole engine run. Each guard sits beside
+        // `run_until_idle`'s own, never around it: nested guards of one
+        // name would count the inner span twice.
+        let admission = self.profiler.map(|p| p.phase("event_loop"));
         engine.reserve_jobs(trace.len());
         for job in trace.jobs() {
             engine.submit(*job)?;
         }
+        drop(admission);
         engine.run_until_idle(scheduler)?;
+        let _assembly = self.profiler.map(|p| p.phase("event_loop"));
         Ok(engine.into_report())
     }
 }

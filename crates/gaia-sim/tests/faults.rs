@@ -5,8 +5,9 @@
 
 use gaia_carbon::{CarbonTrace, PerfectForecaster, PersistenceForecaster};
 use gaia_sim::{
-    audit_report_faulted, ClusterConfig, Decision, EvictionModel, FaultPlan, FaultSchedule,
-    FaultSpec, Scheduler, SchedulerContext, Simulation, TraceEvent, VecSink,
+    audit_report_faulted, ClusterConfig, Decision, ElasticPlan, ElasticSegment, EvictionModel,
+    FaultPlan, FaultSchedule, FaultSpec, Scheduler, SchedulerContext, Simulation, TraceEvent,
+    VecSink,
 };
 use gaia_time::{Minutes, SimTime};
 use gaia_workload::{Job, JobId, WorkloadTrace};
@@ -70,6 +71,20 @@ struct RunNow;
 impl Scheduler for RunNow {
     fn on_arrival(&mut self, job: &Job, _ctx: &SchedulerContext<'_>) -> Decision {
         Decision::run_at(job.arrival)
+    }
+}
+
+/// Runs every job at arrival two workers wide, at ideal speedup
+/// (Carbon-Scale's shape without its carbon search).
+struct WideNow;
+impl Scheduler for WideNow {
+    fn on_arrival(&mut self, job: &Job, _ctx: &SchedulerContext<'_>) -> Decision {
+        Decision::run_elastic(ElasticPlan::new(vec![ElasticSegment {
+            start: job.arrival,
+            len: Minutes::new(job.length.as_minutes() / 2),
+            width: 2,
+            work_milli: job.length.as_minutes() * 1000,
+        }]))
     }
 }
 
@@ -291,6 +306,41 @@ fn price_spike_surcharges_without_touching_base_accounting() {
         (faulted.degradation.price_surcharge - 2.0 * usage).abs() < 1e-6,
         "surcharge {} vs 2 × usage {usage}",
         faulted.degradation.price_surcharge
+    );
+}
+
+#[test]
+fn price_spike_over_wide_elastic_spans_audits_clean() {
+    // No reserved pool, so every two-wide span is billed on demand for
+    // twice the job's CPUs; the audit must recompute the surcharge at
+    // that width, as the engine bills it.
+    let carbon = carbon();
+    let trace = workload();
+    let config = ClusterConfig::default().with_reserved(0).with_seed(5);
+    let schedule = compile(vec![FaultSpec::PriceSpike {
+        start: SimTime::ORIGIN,
+        end: SimTime::from_hours(96),
+        multiplier: 3.0,
+    }]);
+
+    let run = Simulation::new(config, &carbon)
+        .with_faults(&schedule)
+        .runner(&trace, &mut WideNow)
+        .audit(true)
+        .execute()
+        .expect("run succeeds");
+    assert!(run
+        .report
+        .jobs
+        .iter()
+        .all(|o| o.segments.iter().all(|s| s.width == 2)));
+    let audit = run.audit.as_ref().expect("audit enabled");
+    assert!(audit.is_clean(), "{:?}", audit.violations);
+    let usage = run.report.totals.cost_on_demand + run.report.totals.cost_spot;
+    assert!(
+        (run.report.degradation.price_surcharge - 2.0 * usage).abs() < 1e-6,
+        "surcharge {} vs 2 × usage {usage}",
+        run.report.degradation.price_surcharge
     );
 }
 

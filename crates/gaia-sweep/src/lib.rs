@@ -816,7 +816,9 @@ pub struct ObsHooks<'o> {
     /// snapshots are byte-identical for any worker count.
     pub metrics: Option<&'o MetricsRegistry>,
     /// Phase timers (`trace_gen` via the cache's own profiler, `plan`,
-    /// `event_loop`, `audit`). Wall-clock; reporting only.
+    /// `event_loop`, `audit`). `event_loop` spans the whole engine run:
+    /// job admission, the event loop itself (with `plan` nested inside)
+    /// and report assembly. Wall-clock; reporting only.
     pub profiler: Option<&'o Profiler>,
     /// Write one `<cell key>.jsonl` event stream per cell into this
     /// directory (created if missing; `/` in keys becomes `_`). Each
