@@ -5,11 +5,10 @@
 //! columnar/batched overhaul, so these properties pin the rewrite to
 //! the exact behaviour it replaced: for random workloads × policies ×
 //! seeds, both engines must produce **equal `SimReport`s** and
-//! **byte-identical JSONL trace streams**. The year-scale grid in
-//! `engine_bench` covers the same contract at depth on five fixed
-//! policies; this suite covers breadth — adversarial small workloads
-//! (duplicate arrival minutes, zero-ish gaps, eviction-heavy configs)
-//! that a fixed grid never hits.
+//! **byte-identical JSONL trace streams**. One year-scale case covers the
+//! contract at depth on five fixed policies; the properties cover
+//! breadth — adversarial small workloads (duplicate arrival minutes,
+//! zero-ish gaps, eviction-heavy configs) that a fixed grid never hits.
 //!
 //! Also here: regression properties for the latent bugs fixed alongside
 //! the overhaul — pre-reservation (`reserve_jobs`) must be
@@ -17,12 +16,13 @@
 //! job targets the same low-carbon minute must spill through the event
 //! queue's fixed-size overflow segments without reordering.
 
-use gaia_carbon::{CarbonTrace, PerfectForecaster};
+use gaia_carbon::{CarbonTrace, PerfectForecaster, Region};
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_obs::JsonlSink;
 use gaia_sim::oracle::OracleEngine;
 use gaia_sim::{ClusterConfig, EvictionModel, OnlineEngine, SimReport};
 use gaia_time::{Minutes, SimTime};
+use gaia_workload::synth::TraceFamily;
 use gaia_workload::{Job, JobId, QueueSet, WorkloadTrace};
 use proptest::prelude::*;
 
@@ -195,4 +195,36 @@ fn mega_minute_spill_matches_oracle() {
         columnar_bytes.len(),
         oracle_bytes.len()
     );
+}
+
+/// The year-scale contract: a 3k-job AlibabaPai trace spread over the
+/// year, the reserved pool at mean demand, and South Australia carbon,
+/// under five policy shapes (plain, reserved-first over eager,
+/// carbon-aware and threshold bases, and spot-then-reserved).
+#[test]
+fn year_scale_grid_matches_oracle() {
+    let trace = TraceFamily::AlibabaPai.year_long(3_000, bench::WORKLOAD_SEED);
+    let carbon = bench::carbon(Region::SouthAustralia);
+    let config = ClusterConfig::default()
+        .with_reserved(bench::reserved_at_mean_demand(&trace))
+        .with_seed(42)
+        .with_billing_horizon(bench::year_billing());
+    for spec in [
+        PolicySpec::plain(BasePolicyKind::NoWait),
+        PolicySpec::res_first(BasePolicyKind::NoWait),
+        PolicySpec::res_first(BasePolicyKind::CarbonTime),
+        PolicySpec::res_first(BasePolicyKind::AllWaitThreshold),
+        PolicySpec::spot_res(BasePolicyKind::CarbonTime),
+    ] {
+        let (columnar, columnar_bytes) = run_columnar(&config, &carbon, spec, &trace, true);
+        let (oracle, oracle_bytes) = run_oracle(&config, &carbon, spec, &trace);
+        assert_eq!(columnar, oracle, "{}: reports diverged", spec.name());
+        assert!(
+            columnar_bytes == oracle_bytes,
+            "{}: trace streams diverged: {} vs {} bytes",
+            spec.name(),
+            columnar_bytes.len(),
+            oracle_bytes.len()
+        );
+    }
 }

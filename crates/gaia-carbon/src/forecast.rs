@@ -788,43 +788,102 @@ mod tests {
         assert_eq!(view.now(), SimTime::ORIGIN);
     }
 
-    /// Pins the quantile outputs of the three query paths against the
-    /// historical allocate-and-sort implementation.
     #[test]
-    fn quantile_pins_historical_sort_based_outputs() {
-        fn sort_based(view_samples: Vec<f64>, q: f64) -> f64 {
-            let mut samples = view_samples;
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let idx = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-            samples[idx]
-        }
-        let t = crate::synth::synthesize_region(crate::Region::Netherlands, 9);
-        let horizon = Minutes::from_hours(24);
-        for (forecaster, name) in [
-            (
-                Box::new(PerfectForecaster::new(&t)) as Box<dyn CarbonForecaster>,
-                "perfect",
-            ),
-            (Box::new(NoisyForecaster::new(&t, 0.3, 11)), "noisy"),
-            (Box::new(PersistenceForecaster::new(&t)), "persistence"),
-        ] {
-            for now_min in [0u64, 30, 100 * 60 + 15] {
-                let now = SimTime::from_minutes(now_min);
-                let samples: Vec<f64> = HourlySlots::spanning(now, horizon)
-                    .map(|s| forecaster.forecast(now, s.start))
-                    .collect();
-                let view = ForecastView::new(forecaster.as_ref(), now);
-                for q in [0.0, 0.25, 0.3, 0.5, 0.75, 1.0] {
-                    let expected = sort_based(samples.clone(), q);
-                    let got = view.quantile(horizon, q);
-                    assert_eq!(
-                        got.to_bits(),
-                        expected.to_bits(),
-                        "{name} now={now_min} q={q}"
-                    );
-                }
+    fn quantile_30th_percentile() {
+        let t = CarbonTrace::from_hourly((1..=10).map(|i| f64::from(i) * 10.0).collect())
+            .expect("valid");
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::ORIGIN);
+        let horizon = Minutes::from_hours(10);
+        // nearest-rank over 10 samples: index round(9 * 0.3) = 3 -> 40.
+        assert_eq!(view.quantile(horizon, 0.3), 40.0);
+        assert_eq!(view.quantile(horizon, 0.0), 10.0);
+        assert_eq!(view.quantile(horizon, 1.0), 100.0);
+    }
+
+    /// Out-of-range `q` clamps to the window's min or max on every query
+    /// path: indexed (perfect), memoized (noisy, persistence) and naive
+    /// (a custom forecaster).
+    #[test]
+    fn quantile_clamps_q_outside_unit_interval() {
+        struct Wrap<'a>(&'a CarbonTrace);
+        impl CarbonForecaster for Wrap<'_> {
+            fn current(&self, t: SimTime) -> f64 {
+                self.0.intensity_at(t)
+            }
+            fn forecast(&self, _now: SimTime, at: SimTime) -> f64 {
+                self.0.intensity_at(at)
             }
         }
+        let t = crate::synth::synthesize_region(crate::Region::Ontario, 3);
+        let perfect = PerfectForecaster::new(&t);
+        let noisy = NoisyForecaster::new(&t, 0.25, 13);
+        let persistence = PersistenceForecaster::new(&t);
+        let naive = Wrap(&t);
+        let forecasters: [(&dyn CarbonForecaster, &str); 4] = [
+            (&perfect, "perfect"),
+            (&noisy, "noisy"),
+            (&persistence, "persistence"),
+            (&naive, "naive"),
+        ];
+        let horizon = Minutes::from_hours(48);
+        for (f, name) in forecasters {
+            let view = ForecastView::new(f, SimTime::from_minutes(100 * 60 + 30));
+            let lo = view.quantile(horizon, 0.0);
+            let hi = view.quantile(horizon, 1.0);
+            assert!(lo <= hi, "{name}");
+            assert_eq!(
+                view.quantile(horizon, -0.25).to_bits(),
+                lo.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                view.quantile(horizon, 1.25).to_bits(),
+                hi.to_bits(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn greenest_slots_pick_valley_and_sum_to_need() {
+        let t =
+            CarbonTrace::from_hourly(vec![300.0, 100.0, 120.0, 400.0, 90.0, 500.0]).expect("valid");
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::ORIGIN);
+        // The three cheapest hours: 4 (90), 1 (100) and 2 (120); hours 1
+        // and 2 merge into one segment.
+        assert_eq!(
+            view.greenest_slots(Minutes::from_hours(6), Minutes::from_hours(3)),
+            vec![
+                (SimTime::from_hours(1), Minutes::from_hours(2)),
+                (SimTime::from_hours(4), Minutes::from_hours(1)),
+            ]
+        );
+    }
+
+    #[test]
+    fn greenest_slots_partial_hour_trim() {
+        let t = CarbonTrace::from_hourly(vec![300.0, 100.0, 200.0]).expect("valid");
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::ORIGIN);
+        // The full hour 1 plus the first 30 minutes of hour 2 (the
+        // second-cheapest), merged.
+        assert_eq!(
+            view.greenest_slots(Minutes::from_hours(3), Minutes::new(90)),
+            vec![(SimTime::from_hours(1), Minutes::new(90))]
+        );
+    }
+
+    #[test]
+    fn greenest_slots_whole_horizon_when_need_equals_horizon() {
+        let t = CarbonTrace::from_hourly(vec![5.0, 4.0, 3.0]).expect("valid");
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::ORIGIN);
+        assert_eq!(
+            view.greenest_slots(Minutes::from_hours(3), Minutes::from_hours(3)),
+            vec![(SimTime::ORIGIN, Minutes::from_hours(3))]
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! quantiles, and greenest-slot selections over the forecast horizon
 //! (paper §4.2). The naive implementations rescan the horizon per call —
 //! `quantile` allocates and sorts a fresh `Vec`, `greenest_slots` sorts
-//! the whole window per job. This module precomputes three structures so
-//! those queries become cheap kernels:
+//! the whole window per job. The index turns those queries into cheap
+//! kernels over two structures:
 //!
 //! * **Prefix integrals** — already maintained by [`CarbonTrace`]; the
 //!   index delegates to [`CarbonTrace::window_integral`] so integrals and
@@ -18,8 +18,6 @@
 //!   quantiles. Ranks are assigned by [`f64::total_cmp`], under which two
 //!   values compare equal iff they share a bit pattern, so the selected
 //!   order statistic is bit-identical to sorting the window.
-//! * **A sparse table** for O(1) range-minimum plus a monotonic-deque
-//!   batch kernel ([`ForecastIndex::rolling_min`]) for sliding minima.
 //!
 //! Greenest-slot selection ([`select_greenest`]) replaces the
 //! sort-everything greedy with `select_nth_unstable` + a small sort of
@@ -29,9 +27,11 @@
 //! slots. The selected plan is provably identical to the full sort
 //! (the greedy never looks past the k cheapest slots, and `(ci, start)`
 //! keys are unique), at O(h + m log m) instead of O(h log h).
+//!
+//! `tests/index_oracle.rs` holds the one sort-based oracle per kernel
+//! that these paths are checked against bit for bit.
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 use gaia_time::{HourlySlots, Minutes, SimTime, MINUTES_PER_HOUR};
 
@@ -40,8 +40,8 @@ use crate::{CarbonTrace, GramsPerKwh};
 /// Precomputed query structures over one period of a [`CarbonTrace`].
 ///
 /// Construction is O(n log n) in the trace length; afterwards integrals
-/// and range minima are O(1), quantiles O(log n), and greenest-slot
-/// selection O(horizon + plan·log plan). All query results are
+/// are O(1), quantiles O(log n), and greenest-slot selection
+/// O(horizon + plan·log plan). All query results are
 /// bit-identical to the naive rescanning implementations (see the module
 /// docs for why that holds per structure).
 ///
@@ -61,7 +61,6 @@ use crate::{CarbonTrace, GramsPerKwh};
 pub struct ForecastIndex<'t> {
     trace: &'t CarbonTrace,
     quantiles: WaveletMatrix,
-    mins: SparseMin,
 }
 
 impl std::fmt::Debug for ForecastIndex<'_> {
@@ -76,11 +75,9 @@ impl std::fmt::Debug for ForecastIndex<'_> {
 impl<'t> ForecastIndex<'t> {
     /// Builds the index over one period of `trace`.
     pub fn new(trace: &'t CarbonTrace) -> Self {
-        let values = trace.hourly_values();
         ForecastIndex {
             trace,
-            quantiles: WaveletMatrix::new(values),
-            mins: SparseMin::new(values),
+            quantiles: WaveletMatrix::new(trace.hourly_values()),
         }
     }
 
@@ -127,63 +124,10 @@ impl<'t> ForecastIndex<'t> {
         )
     }
 
-    /// Minimum hourly CI over `[start, start + horizon)`; O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is zero.
-    pub fn min_in_window(&self, start: SimTime, horizon: Minutes) -> GramsPerKwh {
-        let n = self.trace.len_hours();
-        let (first_hour, count) = window_hours(start, horizon);
-        let h0 = (first_hour % n as u64) as usize;
-        let count = count as usize;
-        if count >= n {
-            return self.mins.query(0, n);
-        }
-        let e = h0 + count;
-        if e <= n {
-            self.mins.query(h0, e)
-        } else {
-            self.mins.query(h0, n).min(self.mins.query(0, e - n))
-        }
-    }
-
-    /// For every start hour `h` in one period, the minimum hourly CI over
-    /// the `window_hours`-hour window starting at `h` (wrapping); the
-    /// monotonic-deque batch kernel, O(n + window) total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_hours` is zero.
-    pub fn rolling_min(&self, window_hours: usize) -> Vec<GramsPerKwh> {
-        assert!(window_hours > 0, "window must be positive");
-        let values = self.trace.hourly_values();
-        let n = values.len();
-        let mut out = Vec::with_capacity(n);
-        // Indices into the virtual doubled array, values non-decreasing
-        // front to back.
-        let mut deque: VecDeque<usize> = VecDeque::new();
-        for i in 0..n + window_hours - 1 {
-            let v = values[i % n];
-            while deque.back().is_some_and(|&b| values[b % n] >= v) {
-                deque.pop_back();
-            }
-            deque.push_back(i);
-            if i + 1 >= window_hours {
-                let window_start = i + 1 - window_hours;
-                while deque.front().is_some_and(|&f| f < window_start) {
-                    deque.pop_front();
-                }
-                out.push(values[deque.front().expect("window is non-empty") % n]);
-            }
-        }
-        out
-    }
-
     /// The greenest-slot suspend-resume plan over `[start, start +
-    /// horizon)` covering `need` minutes, identical to
-    /// [`CarbonTrace::greenest_slots`] but O(horizon + plan·log plan) —
-    /// and with only O(plan) slots materialized.
+    /// horizon)` covering `need` minutes, identical to the
+    /// sort-everything greedy but O(horizon + plan·log plan) — and with
+    /// only O(plan) slots materialized.
     ///
     /// The greedy touches at most `cap = ceil((need + 118) / 60)` slots
     /// (see the internal `select_greenest` helper), all of them among the `cap` cheapest of
@@ -268,8 +212,8 @@ pub(crate) struct SlotCand {
 }
 
 /// Selects the cheapest slots summing to `need` minutes and returns the
-/// merged, start-sorted plan — the shared kernel behind
-/// [`CarbonTrace::greenest_slots`] and the forecast-query paths.
+/// merged, start-sorted plan — the one greedy behind every
+/// forecast-query path.
 ///
 /// Identical output to sorting all slots by `(ci, start)` and taking
 /// greedily: the greedy touches at most `ceil((need + 118) / 60)` slots
@@ -436,153 +380,11 @@ impl WaveletMatrix {
     }
 }
 
-/// Sparse table for O(1) range-minimum over one trace period.
-#[derive(Debug, Clone)]
-struct SparseMin {
-    values: Vec<f64>,
-    /// `table[k][i]` = index of the minimum over `[i, i + 2^k)`, ties to
-    /// the earliest index.
-    table: Vec<Vec<u32>>,
-}
-
-impl SparseMin {
-    fn new(values: &[f64]) -> Self {
-        let n = values.len();
-        let levels = usize::BITS - n.leading_zeros(); // floor(log2(n)) + 1
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels as usize);
-        table.push((0..n as u32).collect());
-        let mut width = 1usize;
-        while width * 2 <= n {
-            let prev = table.last().expect("level 0 exists");
-            let row: Vec<u32> = (0..n - width * 2 + 1)
-                .map(|i| {
-                    let a = prev[i];
-                    let b = prev[i + width];
-                    // Strict `<` keeps the earliest index on ties.
-                    if values[b as usize] < values[a as usize] {
-                        b
-                    } else {
-                        a
-                    }
-                })
-                .collect();
-            table.push(row);
-            width *= 2;
-        }
-        SparseMin {
-            values: values.to_vec(),
-            table,
-        }
-    }
-
-    /// Minimum value over `[l, r)`; `l < r <= n`.
-    fn query(&self, l: usize, r: usize) -> f64 {
-        debug_assert!(l < r && r <= self.values.len());
-        let k = (usize::BITS - 1 - (r - l).leading_zeros()) as usize; // floor(log2(r - l))
-        let a = self.table[k][l];
-        let b = self.table[k][r - (1 << k)];
-        self.values[a as usize].min(self.values[b as usize])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::synthesize_region;
     use crate::Region;
-
-    /// The pre-index slow paths, kept verbatim as differential oracles.
-    mod oracle {
-        use super::*;
-
-        pub fn window_quantile(
-            trace: &CarbonTrace,
-            start: SimTime,
-            horizon: Minutes,
-            q: f64,
-        ) -> f64 {
-            let mut samples: Vec<f64> = HourlySlots::spanning(start, horizon)
-                .map(|s| trace.intensity_at_hour(s.hour))
-                .collect();
-            samples.sort_by(|a, b| a.total_cmp(b));
-            let idx = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-            samples[idx]
-        }
-
-        pub fn greenest_slots(
-            trace: &CarbonTrace,
-            start: SimTime,
-            horizon: Minutes,
-            need: Minutes,
-        ) -> Vec<(SimTime, Minutes)> {
-            let mut slots: Vec<SlotCand> = HourlySlots::spanning(start, horizon)
-                .map(|s| SlotCand {
-                    start: s.start,
-                    avail: s.overlap,
-                    ci: trace.intensity_at_hour(s.hour),
-                })
-                .collect();
-            slots.sort_by(|a, b| a.ci.total_cmp(&b.ci).then(a.start.cmp(&b.start)));
-            let mut remaining = need;
-            let mut chosen: Vec<(SimTime, Minutes)> = Vec::new();
-            for slot in slots {
-                if remaining.is_zero() {
-                    break;
-                }
-                let take = slot.avail.min(remaining);
-                chosen.push((slot.start, take));
-                remaining -= take;
-            }
-            assert!(remaining.is_zero());
-            chosen.sort_by_key(|(s, _)| *s);
-            let mut merged: Vec<(SimTime, Minutes)> = Vec::with_capacity(chosen.len());
-            for (s, l) in chosen {
-                match merged.last_mut() {
-                    Some((ms, ml)) if *ms + *ml == s => *ml += l,
-                    _ => merged.push((s, l)),
-                }
-            }
-            merged
-        }
-    }
-
-    fn year_trace() -> CarbonTrace {
-        synthesize_region(Region::SouthAustralia, 42)
-    }
-
-    #[test]
-    fn quantile_matches_oracle_across_offsets_and_horizons() {
-        let trace = year_trace();
-        let index = ForecastIndex::new(&trace);
-        for start_min in [0u64, 17, 59, 60, 3600, 8759 * 60, 8760 * 60 + 30] {
-            for horizon_h in [1u64, 2, 24, 168, 800] {
-                for q in [0.0, 0.3, 0.5, 0.9, 1.0] {
-                    let start = SimTime::from_minutes(start_min);
-                    let horizon = Minutes::from_hours(horizon_h);
-                    let fast = index.window_quantile(start, horizon, q);
-                    let slow = oracle::window_quantile(&trace, start, horizon, q);
-                    assert_eq!(
-                        fast.to_bits(),
-                        slow.to_bits(),
-                        "start={start_min} horizon={horizon_h}h q={q}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantile_handles_windows_longer_than_the_trace() {
-        let trace = CarbonTrace::from_hourly(vec![30.0, 10.0, 20.0]).expect("valid");
-        let index = ForecastIndex::new(&trace);
-        // 8 hours over a 3-hour trace: wraps 2 whole periods + 2 hours.
-        for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let fast = index.window_quantile(SimTime::from_hours(1), Minutes::from_hours(8), q);
-            let slow =
-                oracle::window_quantile(&trace, SimTime::from_hours(1), Minutes::from_hours(8), q);
-            assert_eq!(fast.to_bits(), slow.to_bits(), "q={q}");
-        }
-    }
 
     #[test]
     fn quantile_on_constant_trace() {
@@ -595,20 +397,21 @@ mod tests {
     }
 
     #[test]
-    fn greenest_slots_match_oracle() {
-        let trace = year_trace();
+    fn quantile_clamps_q_outside_unit_interval() {
+        let trace = synthesize_region(Region::SouthAustralia, 42);
         let index = ForecastIndex::new(&trace);
-        for start_min in [0u64, 45, 100 * 60 + 30] {
-            for (horizon_h, need_min) in [(6u64, 90u64), (28, 180), (48, 47 * 60 + 30), (24, 1)] {
-                let start = SimTime::from_minutes(start_min);
-                let horizon = Minutes::from_hours(horizon_h);
-                let need = Minutes::new(need_min);
-                let fast = index.greenest_slots(start, horizon, need);
-                let slow = oracle::greenest_slots(&trace, start, horizon, need);
-                assert_eq!(
-                    fast, slow,
-                    "start={start_min} h={horizon_h} need={need_min}"
-                );
+        let start = SimTime::from_minutes(8000 * 60 + 7);
+        for horizon_h in [1u64, 7, 24, 9000] {
+            let horizon = Minutes::from_hours(horizon_h);
+            let lo = index.window_quantile(start, horizon, 0.0);
+            let hi = index.window_quantile(start, horizon, 1.0);
+            for q in [-0.5, f64::NEG_INFINITY] {
+                let got = index.window_quantile(start, horizon, q);
+                assert_eq!(got.to_bits(), lo.to_bits(), "q={q} h={horizon_h}");
+            }
+            for q in [1.5, f64::INFINITY] {
+                let got = index.window_quantile(start, horizon, q);
+                assert_eq!(got.to_bits(), hi.to_bits(), "q={q} h={horizon_h}");
             }
         }
     }
@@ -639,40 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn min_in_window_matches_scan() {
-        let trace = year_trace();
-        let index = ForecastIndex::new(&trace);
-        for start_min in [0u64, 30, 8000 * 60 + 7] {
-            for horizon_h in [1u64, 7, 24, 8760, 9000] {
-                let start = SimTime::from_minutes(start_min);
-                let horizon = Minutes::from_hours(horizon_h);
-                let fast = index.min_in_window(start, horizon);
-                let slow = HourlySlots::spanning(start, horizon)
-                    .map(|s| trace.intensity_at_hour(s.hour))
-                    .fold(f64::INFINITY, f64::min);
-                assert_eq!(fast.to_bits(), slow.to_bits(), "{start_min} {horizon_h}");
-            }
-        }
-    }
-
-    #[test]
-    fn rolling_min_matches_per_window_scan() {
-        let trace = synthesize_region(Region::California, 7);
-        let index = ForecastIndex::new(&trace);
-        let window = 24;
-        let rolled = index.rolling_min(window);
-        assert_eq!(rolled.len(), trace.len_hours());
-        for (h, &got) in rolled.iter().enumerate().step_by(97) {
-            let want = (h..h + window)
-                .map(|i| trace.intensity_at_hour(i as u64))
-                .fold(f64::INFINITY, f64::min);
-            assert_eq!(got.to_bits(), want.to_bits(), "start hour {h}");
-        }
-    }
-
-    #[test]
     fn integral_is_the_trace_integral() {
-        let trace = year_trace();
+        let trace = synthesize_region(Region::SouthAustralia, 42);
         let index = ForecastIndex::new(&trace);
         let start = SimTime::from_minutes(12345);
         let len = Minutes::new(789);

@@ -27,10 +27,12 @@
 //! let trace = synthesize_region(Region::SouthAustralia, 42);
 //! // South Australia is a high-variability region: shifting a 4-hour job
 //! // across the day should find windows that differ substantially.
-//! let day = Minutes::from_days(1);
 //! let job = Minutes::from_hours(4);
-//! let worst = trace.max_window_avg(SimTime::ORIGIN, day, job);
-//! let best = trace.min_window_avg(SimTime::ORIGIN, day, job);
+//! let averages: Vec<f64> = (0..24)
+//!     .map(|h| trace.window_avg(SimTime::from_hours(h), job))
+//!     .collect();
+//! let worst = averages.iter().copied().fold(0.0, f64::max);
+//! let best = averages.iter().copied().fold(f64::INFINITY, f64::min);
 //! assert!(worst / best > 1.2);
 //! ```
 

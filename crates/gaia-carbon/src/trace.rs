@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use gaia_time::{HourlySlots, Minutes, SimTime, MINUTES_PER_HOUR};
+use gaia_time::{Minutes, SimTime, MINUTES_PER_HOUR};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CarbonError;
@@ -321,82 +321,6 @@ impl CarbonTrace {
         }
         (best_t, best_avg)
     }
-
-    /// Minimum average CI over any `window`-long window starting in
-    /// `[start, start + horizon)`, scanning at hourly steps.
-    pub fn min_window_avg(&self, start: SimTime, horizon: Minutes, window: Minutes) -> f64 {
-        self.min_window_start(start, horizon, window, Minutes::from_hours(1))
-            .1
-    }
-
-    /// Maximum average CI over any `window`-long window starting in
-    /// `[start, start + horizon)`, scanning at hourly steps.
-    pub fn max_window_avg(&self, start: SimTime, horizon: Minutes, window: Minutes) -> f64 {
-        let mut worst = 0.0f64;
-        let mut t = start;
-        while t < start + horizon {
-            worst = worst.max(self.window_avg(t, window));
-            t += Minutes::from_hours(1);
-        }
-        worst
-    }
-
-    /// Returns the `q`-quantile (`0.0..=1.0`) of the hourly CI values over
-    /// `[start, start + horizon)`, using nearest-rank interpolation.
-    ///
-    /// Used by the Ecovisor policy, which runs jobs only when the current
-    /// CI is below the 30th percentile of the next 24 hours (§6.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]` or `horizon` is zero.
-    pub fn window_quantile(&self, start: SimTime, horizon: Minutes, q: f64) -> GramsPerKwh {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        assert!(!horizon.is_zero(), "quantile over an empty window");
-        let mut samples: Vec<f64> = HourlySlots::spanning(start, horizon)
-            .map(|s| self.intensity_at_hour(s.hour))
-            .collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("CI values are finite"));
-        let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-        samples[idx]
-    }
-
-    /// Greedily selects the cheapest (lowest-CI) hourly slots within
-    /// `[start, start + horizon)` summing to at least `need` minutes of
-    /// execution, and returns them as a sorted list of `(slot_start,
-    /// run_len)` segments. This is the Wait Awhile suspend-resume plan:
-    /// run in the greenest slots, pause elsewhere.
-    ///
-    /// The final (most expensive) selected slot is trimmed so the total
-    /// equals `need` exactly; trimming keeps the *earlier* portion of that
-    /// slot so the job finishes as soon as possible among equal-carbon
-    /// plans.
-    ///
-    /// Selection runs through the incremental kernel shared with
-    /// [`crate::ForecastIndex::greenest_slots`] — O(horizon) plus a sort
-    /// of only the slots the greedy can touch, with output identical to
-    /// the historical sort-everything greedy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `need` is zero or exceeds `horizon`.
-    pub fn greenest_slots(
-        &self,
-        start: SimTime,
-        horizon: Minutes,
-        need: Minutes,
-    ) -> Vec<(SimTime, Minutes)> {
-        assert!(!need.is_zero(), "need must be positive");
-        assert!(need <= horizon, "cannot fit {need} of work into {horizon}");
-        let slots = HourlySlots::spanning(start, horizon)
-            .map(|s| crate::index::SlotCand {
-                start: s.start,
-                avail: s.overlap,
-                ci: self.intensity_at_hour(s.hour),
-            })
-            .collect();
-        crate::index::select_greenest(slots, need)
-    }
 }
 
 impl fmt::Display for CarbonTrace {
@@ -508,63 +432,6 @@ mod tests {
             Minutes::from_hours(1),
         );
         assert_eq!(best, SimTime::ORIGIN);
-    }
-
-    #[test]
-    fn quantile_30th_percentile() {
-        let t = trace(&[10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]);
-        let q30 = t.window_quantile(SimTime::ORIGIN, Minutes::from_hours(10), 0.3);
-        // nearest-rank over 10 samples: index round(9 * 0.3) = 3 -> 40.
-        assert_eq!(q30, 40.0);
-        assert_eq!(
-            t.window_quantile(SimTime::ORIGIN, Minutes::from_hours(10), 0.0),
-            10.0
-        );
-        assert_eq!(
-            t.window_quantile(SimTime::ORIGIN, Minutes::from_hours(10), 1.0),
-            100.0
-        );
-    }
-
-    #[test]
-    fn greenest_slots_pick_valley_and_sum_to_need() {
-        let t = trace(&[300.0, 100.0, 120.0, 400.0, 90.0, 500.0]);
-        let plan = t.greenest_slots(
-            SimTime::ORIGIN,
-            Minutes::from_hours(6),
-            Minutes::from_hours(3),
-        );
-        let total: Minutes = plan.iter().map(|(_, l)| *l).sum();
-        assert_eq!(total, Minutes::from_hours(3));
-        // Must contain hours 4 (90), 1 (100), 2 (120) — the three cheapest.
-        let starts: Vec<u64> = plan.iter().map(|(s, _)| s.as_hours_floor()).collect();
-        assert!(starts.contains(&4));
-        assert!(starts.contains(&1)); // hours 1 and 2 merge into one segment
-                                      // Sorted and non-overlapping.
-        for w in plan.windows(2) {
-            assert!(w[0].0 + w[0].1 <= w[1].0);
-        }
-    }
-
-    #[test]
-    fn greenest_slots_partial_hour_trim() {
-        let t = trace(&[300.0, 100.0, 200.0]);
-        let plan = t.greenest_slots(SimTime::ORIGIN, Minutes::from_hours(3), Minutes::new(90));
-        let total: Minutes = plan.iter().map(|(_, l)| *l).sum();
-        assert_eq!(total, Minutes::new(90));
-        // The full hour 1 plus 30 minutes of hour 2 (the second-cheapest).
-        assert_eq!(plan[0], (SimTime::from_hours(1), Minutes::new(90)));
-    }
-
-    #[test]
-    fn greenest_slots_whole_horizon_when_need_equals_horizon() {
-        let t = trace(&[5.0, 4.0, 3.0]);
-        let plan = t.greenest_slots(
-            SimTime::ORIGIN,
-            Minutes::from_hours(3),
-            Minutes::from_hours(3),
-        );
-        assert_eq!(plan, vec![(SimTime::ORIGIN, Minutes::from_hours(3))]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the carbon-trace query layer.
 
-use gaia_carbon::{CarbonTrace, Region};
-use gaia_time::{Minutes, SimTime};
+use gaia_carbon::{CarbonTrace, ForecastView, PerfectForecaster, Region};
+use gaia_time::{HourlySlots, Minutes, SimTime};
 use proptest::prelude::*;
 
 fn trace_strategy() -> impl Strategy<Value = CarbonTrace> {
@@ -63,7 +63,8 @@ proptest! {
         prop_assert!((trace.window_avg(best_t, window) - best_avg).abs() < 1e-9);
     }
 
-    /// Greedy greenest-slot plans cover exactly the requested work with
+    /// Greedy greenest-slot plans, as policies read them through a
+    /// perfect forecast view, cover exactly the requested work with
     /// ordered, non-overlapping segments, and never emit more carbon than
     /// running contiguously at any aligned start in the horizon.
     #[test]
@@ -76,7 +77,8 @@ proptest! {
         let start = SimTime::from_hours(start_h);
         let need = Minutes::from_hours(need_h);
         let horizon = need + Minutes::from_hours(slack_h);
-        let plan = trace.greenest_slots(start, horizon, need);
+        let forecaster = PerfectForecaster::new(&trace);
+        let plan = ForecastView::new(&forecaster, start).greenest_slots(horizon, need);
         let total: Minutes = plan.iter().map(|&(_, l)| l).sum();
         prop_assert_eq!(total, need);
         for pair in plan.windows(2) {
@@ -92,8 +94,8 @@ proptest! {
         }
     }
 
-    /// Quantiles are bounded by the window's min and max and are
-    /// monotone in `q`.
+    /// Forecast-view quantiles are bounded by the window's min and max
+    /// and are monotone in `q`.
     #[test]
     fn quantiles_bounded_and_monotone(
         trace in trace_strategy(),
@@ -105,11 +107,16 @@ proptest! {
         let start = SimTime::from_minutes(start);
         let horizon = Minutes::from_hours(horizon_h);
         let (lo, hi) = (q1.min(q2), q1.max(q2));
-        let v_lo = trace.window_quantile(start, horizon, lo);
-        let v_hi = trace.window_quantile(start, horizon, hi);
+        let forecaster = PerfectForecaster::new(&trace);
+        let view = ForecastView::new(&forecaster, start);
+        let v_lo = view.quantile(horizon, lo);
+        let v_hi = view.quantile(horizon, hi);
         prop_assert!(v_lo <= v_hi + 1e-12);
-        prop_assert!(v_lo >= trace.min() - 1e-12);
-        prop_assert!(v_hi <= trace.max() + 1e-12);
+        let window: Vec<f64> = HourlySlots::spanning(start, horizon)
+            .map(|s| trace.intensity_at_hour(s.hour))
+            .collect();
+        prop_assert!(v_lo >= window.iter().copied().fold(f64::INFINITY, f64::min));
+        prop_assert!(v_hi <= window.iter().copied().fold(0.0, f64::max));
     }
 
     /// Rotation is a pure relabeling: it preserves the mean and composes

@@ -1,16 +1,19 @@
-//! Differential property tests: every [`ForecastIndex`]-backed query path
-//! must be **bit-equal** to the naive slow path it replaced, across random
-//! traces, horizons, partial-hour offsets, and forecaster kinds.
+//! Differential tests: every [`ForecastIndex`]-backed query path must be
+//! **bit-equal** to the naive slow path it replaced, across random
+//! traces, horizons, partial-hour offsets, and forecaster kinds, plus
+//! fixed year-scale cases.
 //!
-//! The oracles below are the pre-index implementations, kept verbatim:
-//! `quantile` collected-and-sorted its window, `greenest_slots` sorted
-//! every slot by `(ci, start)` and took greedily, and integrals walked the
-//! hourly slots (the perfect forecaster has always delegated to the
-//! trace's exact prefix-sum integral, which the index reuses unchanged).
+//! The oracles below are the pre-index implementations, kept verbatim
+//! as the one sort-based copy of each kernel in the tree: `quantile`
+//! collected-and-sorted its window, `greenest_slots` sorted every slot
+//! by `(ci, start)` and took greedily, and integrals walked the hourly
+//! slots (the perfect forecaster has always delegated to the trace's
+//! exact prefix-sum integral, which the index reuses unchanged).
 
+use gaia_carbon::synth::synthesize_region;
 use gaia_carbon::{
     CarbonForecaster, CarbonTrace, ForecastIndex, ForecastView, NoisyForecaster, PerfectForecaster,
-    PersistenceForecaster,
+    PersistenceForecaster, Region,
 };
 use gaia_time::{HourlySlots, Minutes, SimTime};
 use proptest::prelude::*;
@@ -54,6 +57,26 @@ fn oracle_greenest(slots: Vec<(SimTime, Minutes, f64)>, need: Minutes) -> Vec<(S
     merged
 }
 
+/// The trace's hourly samples over `[start, start + horizon)`, one per
+/// slot the window overlaps: the input of [`oracle_quantile`].
+fn window_samples(trace: &CarbonTrace, start: SimTime, horizon: Minutes) -> Vec<f64> {
+    HourlySlots::spanning(start, horizon)
+        .map(|s| trace.intensity_at_hour(s.hour))
+        .collect()
+}
+
+/// The trace's `(start, usable minutes, ci)` slots over `[start, start +
+/// horizon)`: the input of [`oracle_greenest`].
+fn window_slots(
+    trace: &CarbonTrace,
+    start: SimTime,
+    horizon: Minutes,
+) -> Vec<(SimTime, Minutes, f64)> {
+    HourlySlots::spanning(start, horizon)
+        .map(|s| (s.start, s.overlap, trace.intensity_at_hour(s.hour)))
+        .collect()
+}
+
 proptest! {
     /// Index quantiles are bit-equal to sorting the window, for any
     /// partial-hour anchor, horizon (including wrapping past the trace
@@ -68,11 +91,8 @@ proptest! {
         let index = ForecastIndex::new(&trace);
         let start = SimTime::from_minutes(start);
         let horizon = Minutes::new(horizon);
-        let mut samples: Vec<f64> = HourlySlots::spanning(start, horizon)
-            .map(|s| trace.intensity_at_hour(s.hour))
-            .collect();
         let fast = index.window_quantile(start, horizon, q);
-        let slow = oracle_quantile(&mut samples, q);
+        let slow = oracle_quantile(&mut window_samples(&trace, start, horizon), q);
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
     }
 
@@ -88,11 +108,8 @@ proptest! {
         let start = SimTime::from_minutes(start);
         let need = Minutes::new(need);
         let horizon = need + Minutes::new(extra);
-        let slots: Vec<(SimTime, Minutes, f64)> = HourlySlots::spanning(start, horizon)
-            .map(|s| (s.start, s.overlap, trace.intensity_at_hour(s.hour)))
-            .collect();
         let fast = index.greenest_slots(start, horizon, need);
-        let slow = oracle_greenest(slots, need);
+        let slow = oracle_greenest(window_slots(&trace, start, horizon), need);
         prop_assert_eq!(fast, slow);
     }
 
@@ -224,6 +241,98 @@ proptest! {
                 view.greenest_slots(horizon, horizon),
                 oracle_greenest(slots, horizon)
             );
+        }
+    }
+}
+
+/// The year-long trace the fixed cases run on: long enough that windows
+/// start at partial-hour offsets deep in the period and wrap its end.
+fn year_trace() -> CarbonTrace {
+    synthesize_region(Region::SouthAustralia, 42)
+}
+
+#[test]
+fn quantile_matches_oracle_across_offsets_and_horizons() {
+    let trace = year_trace();
+    let index = ForecastIndex::new(&trace);
+    for start_min in [0u64, 17, 59, 60, 3600, 8759 * 60, 8760 * 60 + 30] {
+        for horizon_h in [1u64, 2, 24, 168, 800] {
+            let start = SimTime::from_minutes(start_min);
+            let horizon = Minutes::from_hours(horizon_h);
+            let mut samples = window_samples(&trace, start, horizon);
+            for q in [0.0, 0.3, 0.5, 0.9, 1.0] {
+                assert_eq!(
+                    index.window_quantile(start, horizon, q).to_bits(),
+                    oracle_quantile(&mut samples, q).to_bits(),
+                    "start={start_min} horizon={horizon_h}h q={q}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn quantile_handles_windows_longer_than_the_trace() {
+    let trace = CarbonTrace::from_hourly(vec![30.0, 10.0, 20.0]).expect("valid");
+    let index = ForecastIndex::new(&trace);
+    // 8 hours over a 3-hour trace: wraps 2 whole periods + 2 hours.
+    let (start, horizon) = (SimTime::from_hours(1), Minutes::from_hours(8));
+    let mut samples = window_samples(&trace, start, horizon);
+    for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
+        assert_eq!(
+            index.window_quantile(start, horizon, q).to_bits(),
+            oracle_quantile(&mut samples, q).to_bits(),
+            "q={q}"
+        );
+    }
+}
+
+#[test]
+fn greenest_slots_match_oracle() {
+    let trace = year_trace();
+    let index = ForecastIndex::new(&trace);
+    for start_min in [0u64, 45, 100 * 60 + 30] {
+        for (horizon_h, need_min) in [(6u64, 90u64), (28, 180), (48, 47 * 60 + 30), (24, 1)] {
+            let start = SimTime::from_minutes(start_min);
+            let horizon = Minutes::from_hours(horizon_h);
+            let need = Minutes::new(need_min);
+            assert_eq!(
+                index.greenest_slots(start, horizon, need),
+                oracle_greenest(window_slots(&trace, start, horizon), need),
+                "start={start_min} h={horizon_h} need={need_min}"
+            );
+        }
+    }
+}
+
+/// Pins the quantile outputs of the three query paths (indexed,
+/// memoized noisy, memoized persistence) on a year-long trace.
+#[test]
+fn quantile_pins_historical_sort_based_outputs() {
+    let trace = synthesize_region(Region::Netherlands, 9);
+    let horizon = Minutes::from_hours(24);
+    let perfect = PerfectForecaster::new(&trace);
+    let noisy = NoisyForecaster::new(&trace, 0.3, 11);
+    let persistence = PersistenceForecaster::new(&trace);
+    let forecasters: [(&dyn CarbonForecaster, &str); 3] = [
+        (&perfect, "perfect"),
+        (&noisy, "noisy"),
+        (&persistence, "persistence"),
+    ];
+    for (forecaster, name) in forecasters {
+        for now_min in [0u64, 30, 100 * 60 + 15] {
+            let now = SimTime::from_minutes(now_min);
+            let mut samples: Vec<f64> = HourlySlots::spanning(now, horizon)
+                .map(|s| forecaster.forecast(now, s.start))
+                .collect();
+            let view = ForecastView::new(forecaster, now);
+            for q in [0.0, 0.25, 0.3, 0.5, 0.75, 1.0] {
+                assert_eq!(
+                    view.quantile(horizon, q).to_bits(),
+                    oracle_quantile(&mut samples, q).to_bits(),
+                    "{name} now={now_min} q={q}"
+                );
+            }
         }
     }
 }

@@ -24,8 +24,8 @@
 //! pop at a time. None of this changes behaviour: the event total order
 //! `(time, prio, seq)` is preserved exactly, so reports, trace streams,
 //! and snapshot bytes are bit-identical to the pre-columnar engine
-//! (kept as [`crate::oracle::OracleEngine`] and pitted against this one
-//! by differential tests).
+//! (kept as [`crate::oracle::OracleEngine`], a test reference only,
+//! pitted against this one by differential tests).
 //!
 //! The batch frontend ([`crate::SimRunner`]) is one caller of this
 //! engine: it submits every trace job up front and drains to idle,

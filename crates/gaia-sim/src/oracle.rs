@@ -5,13 +5,14 @@
 //! columnar/batched rewrite in `crate::online`: one `BinaryHeap` of
 //! events popped one at a time, per-job `JobState`/`JobAccum` structs,
 //! and a boxed forecast query per arrival. It exists so that the
-//! rewritten engine can be differentially tested (and benchmarked)
-//! against the exact code it replaced: for any submission sequence and
-//! scheduler, the two engines must produce bit-identical reports and
-//! trace streams.
+//! rewritten engine can be differentially tested against the exact code
+//! it replaced: for any submission sequence and scheduler, the two
+//! engines must produce bit-identical reports and trace streams
+//! (`crates/bench/tests/differential.rs`).
 //!
-//! This module is a test/bench harness, not API: it is `#[doc(hidden)]`,
-//! carries no snapshot codec, and must not grow features. Any
+//! This module is a test reference only, not API: no production path or
+//! benchmark runs it. It is `#[doc(hidden)]`, carries no snapshot codec,
+//! and must not grow features. Any
 //! behavioural change belongs in `crate::online` (with a matching
 //! oracle update only if the *contract* changes deliberately).
 

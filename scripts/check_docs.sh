@@ -22,7 +22,7 @@ echo "== EXPERIMENTS.md references resolve"
 if [[ -f EXPERIMENTS.md ]]; then
   # Backticked references like `figure08`, `robustness`, `gaia sweep`,
   # `scripts/reproduce_all.sh` must point at real targets.
-  grep -oE '`(figure[0-9]+|table1|ablations|sensitivity|robustness|obs_overhead|plan_kernels|ext_[a-z_]+)`' EXPERIMENTS.md \
+  grep -oE '`(figure[0-9]+|table1|ablations|sensitivity|robustness|obs_overhead|ext_[a-z_]+)`' EXPERIMENTS.md \
     | tr -d '`' | sort -u | while read -r bin; do
       [[ -f "crates/bench/src/bin/${bin}.rs" ]] \
         || { echo "EXPERIMENTS.md names missing binary: ${bin}"; exit 1; }

@@ -46,9 +46,4 @@ echo "== sweep-bench (1 vs ${WORKERS} workers)"
 echo "== obs_overhead (NullSink budget 2%)"
 ./target/release/obs_overhead > results/obs_overhead.txt
 
-# Forecast-query kernel bench: refreshes BENCH_plan_kernels.json and
-# gates the ForecastIndex speedups (results/plan_kernels.txt).
-echo "== plan_kernels (indexed forecast-query kernels, 5x target)"
-./target/release/plan_kernels > results/plan_kernels.txt
-
 echo "all outputs written to results/"
