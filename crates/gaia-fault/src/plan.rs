@@ -299,9 +299,8 @@ impl FaultPlan {
                     ref key_substr,
                     fail_attempts,
                 } => {
-                    out.push_str(",\"key_substr\":\"");
-                    escape_into(&mut out, key_substr);
-                    let _ = write!(out, "\",\"fail_attempts\":{fail_attempts}");
+                    json::push_str(&mut out, "key_substr", key_substr);
+                    let _ = write!(out, ",\"fail_attempts\":{fail_attempts}");
                 }
             }
             out.push('}');
@@ -415,22 +414,6 @@ fn parse_spec(entry: &Value) -> Result<FaultSpec, String> {
             })
         }
         other => Err(format!("unknown fault kind {other:?}")),
-    }
-}
-
-fn escape_into(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use crate::json::{self, Value};
+use crate::json::{self, push_bool, push_f64, push_str, push_u64, Value};
 
 /// Capacity pool a job segment executes in.
 ///
@@ -436,15 +436,22 @@ impl Event {
     /// `{"ev":"segment_started","t":360,"job":0,"seg":0,"pool":"reserved"}`.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(96);
+        self.write_json_line(&mut s);
+        s
+    }
+
+    /// Append the [`Event::to_json_line`] object to `s`, so a writer can
+    /// reuse one buffer for every event.
+    pub fn write_json_line(&self, s: &mut String) {
         s.push_str("{\"ev\":\"");
         s.push_str(self.name());
         s.push('"');
         match self {
             Event::JobSubmitted { t, job, cpus, len } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "cpus", *cpus);
-                push_u64(&mut s, "len", *len);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_u64(s, "cpus", *cpus);
+                push_u64(s, "len", *len);
             }
             Event::PlanChosen {
                 t,
@@ -457,21 +464,21 @@ impl Event {
                 est_carbon_g,
                 est_cost,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_str(&mut s, "mode", mode.as_str());
-                push_u64(&mut s, "start", *start);
-                push_u64(&mut s, "segs", u64::from(*segs));
-                push_bool(&mut s, "opportunistic", *opportunistic);
-                push_bool(&mut s, "spot", *spot);
-                push_f64(&mut s, "est_carbon_g", *est_carbon_g);
-                push_f64(&mut s, "est_cost", *est_cost);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_str(s, "mode", mode.as_str());
+                push_u64(s, "start", *start);
+                push_u64(s, "segs", u64::from(*segs));
+                push_bool(s, "opportunistic", *opportunistic);
+                push_bool(s, "spot", *spot);
+                push_f64(s, "est_carbon_g", *est_carbon_g);
+                push_f64(s, "est_cost", *est_cost);
             }
             Event::SegmentStarted { t, job, seg, pool } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "seg", u64::from(*seg));
-                push_str(&mut s, "pool", pool.as_str());
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_u64(s, "seg", u64::from(*seg));
+                push_str(s, "pool", pool.as_str());
             }
             Event::SegmentFinished {
                 t,
@@ -480,11 +487,11 @@ impl Event {
                 pool,
                 useful,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "seg", u64::from(*seg));
-                push_str(&mut s, "pool", pool.as_str());
-                push_bool(&mut s, "useful", *useful);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_u64(s, "seg", u64::from(*seg));
+                push_str(s, "pool", pool.as_str());
+                push_bool(s, "useful", *useful);
             }
             Event::WidthChanged {
                 t,
@@ -493,15 +500,15 @@ impl Event {
                 width,
                 prev,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "seg", u64::from(*seg));
-                push_u64(&mut s, "width", *width);
-                push_u64(&mut s, "prev", *prev);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_u64(s, "seg", u64::from(*seg));
+                push_u64(s, "width", *width);
+                push_u64(s, "prev", *prev);
             }
             Event::SpotEvicted { t, job } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
             }
             Event::JobCompleted {
                 t,
@@ -509,14 +516,14 @@ impl Event {
                 wait,
                 stretch,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "wait", *wait);
-                push_f64(&mut s, "stretch", *stretch);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_u64(s, "wait", *wait);
+                push_f64(s, "stretch", *stretch);
             }
             Event::CellStarted { idx, key } => {
-                push_u64(&mut s, "idx", *idx);
-                push_str(&mut s, "key", key);
+                push_u64(s, "idx", *idx);
+                push_str(s, "key", key);
             }
             Event::CellFinished {
                 idx,
@@ -525,11 +532,11 @@ impl Event {
                 queue_wait_s,
                 exec_s,
             } => {
-                push_u64(&mut s, "idx", *idx);
-                push_str(&mut s, "key", key);
-                push_str(&mut s, "status", status);
-                push_f64(&mut s, "queue_wait_s", *queue_wait_s);
-                push_f64(&mut s, "exec_s", *exec_s);
+                push_u64(s, "idx", *idx);
+                push_str(s, "key", key);
+                push_str(s, "status", status);
+                push_f64(s, "queue_wait_s", *queue_wait_s);
+                push_f64(s, "exec_s", *exec_s);
             }
             Event::FaultInjected {
                 t,
@@ -538,15 +545,15 @@ impl Event {
                 end,
                 magnitude,
             } => {
-                push_u64(&mut s, "t", *t);
-                push_str(&mut s, "kind", kind);
-                push_u64(&mut s, "start", *start);
-                push_u64(&mut s, "end", *end);
-                push_f64(&mut s, "magnitude", *magnitude);
+                push_u64(s, "t", *t);
+                push_str(s, "kind", kind);
+                push_u64(s, "start", *start);
+                push_u64(s, "end", *end);
+                push_f64(s, "magnitude", *magnitude);
             }
             Event::DegradedModeEntered { t, until } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "until", *until);
+                push_u64(s, "t", *t);
+                push_u64(s, "until", *until);
             }
             Event::CellRetried {
                 idx,
@@ -554,27 +561,27 @@ impl Event {
                 attempt,
                 error,
             } => {
-                push_u64(&mut s, "idx", *idx);
-                push_str(&mut s, "key", key);
-                push_u64(&mut s, "attempt", *attempt);
-                push_str(&mut s, "error", error);
+                push_u64(s, "idx", *idx);
+                push_str(s, "key", key);
+                push_u64(s, "attempt", *attempt);
+                push_str(s, "error", error);
             }
             Event::CacheHit { kind, key } => {
-                push_str(&mut s, "kind", kind.as_str());
-                push_str(&mut s, "key", key);
+                push_str(s, "kind", kind.as_str());
+                push_str(s, "key", key);
             }
             Event::CacheMiss { kind, key } => {
-                push_str(&mut s, "kind", kind.as_str());
-                push_str(&mut s, "key", key);
+                push_str(s, "kind", kind.as_str());
+                push_str(s, "key", key);
             }
             Event::CachePersist { kind, key } => {
-                push_str(&mut s, "kind", kind.as_str());
-                push_str(&mut s, "key", key);
+                push_str(s, "kind", kind.as_str());
+                push_str(s, "key", key);
             }
             Event::ShardStarted { shard, of, cells } => {
-                push_u64(&mut s, "shard", *shard);
-                push_u64(&mut s, "of", *of);
-                push_u64(&mut s, "cells", *cells);
+                push_u64(s, "shard", *shard);
+                push_u64(s, "of", *of);
+                push_u64(s, "cells", *cells);
             }
             Event::ShardFinished {
                 shard,
@@ -582,29 +589,28 @@ impl Event {
                 completed,
                 failed,
             } => {
-                push_u64(&mut s, "shard", *shard);
-                push_u64(&mut s, "of", *of);
-                push_u64(&mut s, "completed", *completed);
-                push_u64(&mut s, "failed", *failed);
+                push_u64(s, "shard", *shard);
+                push_u64(s, "of", *of);
+                push_u64(s, "completed", *completed);
+                push_u64(s, "failed", *failed);
             }
             Event::JobAccepted { t, job, tenant } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_str(&mut s, "tenant", tenant);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_str(s, "tenant", tenant);
             }
             Event::Replan { t, job, queued } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "job", *job);
-                push_u64(&mut s, "queued", *queued);
+                push_u64(s, "t", *t);
+                push_u64(s, "job", *job);
+                push_u64(s, "queued", *queued);
             }
             Event::SnapshotWritten { t, seq, bytes } => {
-                push_u64(&mut s, "t", *t);
-                push_u64(&mut s, "seq", *seq);
-                push_u64(&mut s, "bytes", *bytes);
+                push_u64(s, "t", *t);
+                push_u64(s, "seq", *seq);
+                push_u64(s, "bytes", *bytes);
             }
         }
         s.push('}');
-        s
     }
 
     /// Parse one JSONL line produced by [`Event::to_json_line`].
@@ -738,55 +744,6 @@ impl Event {
             other => Err(format!("unknown event name {other:?}")),
         }
     }
-}
-
-fn push_key(s: &mut String, key: &str) {
-    s.push(',');
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn push_u64(s: &mut String, key: &str, v: u64) {
-    push_key(s, key);
-    s.push_str(&v.to_string());
-}
-
-fn push_bool(s: &mut String, key: &str, v: bool) {
-    push_key(s, key);
-    s.push_str(if v { "true" } else { "false" });
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    push_key(s, key);
-    if v.is_finite() {
-        // Shortest representation that round-trips through f64 parsing,
-        // so a parse-and-reserialize cycle is byte-stable.
-        s.push_str(&format!("{v}"));
-        // `format!` omits the ".0" for integral floats; that is fine for
-        // JSON (still a number) and stable, so leave it as-is.
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 fn field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, String> {

@@ -1,10 +1,21 @@
-//! Minimal JSON parser for reading back JSONL event streams.
+//! Minimal JSON reader and field writer for JSONL event streams, the
+//! serving protocol and the sweep store's JSON artifacts.
 //!
 //! The workspace is offline-buildable, and the vendored `serde` stand-in
 //! only covers the derive surface GAIA's other crates need, so trace
 //! parsing uses this small hand-rolled recursive-descent parser instead.
 //! It accepts standard JSON (RFC 8259) with the usual `\uXXXX` escapes
 //! and surrogate pairs; numbers are parsed as `f64`.
+//!
+//! The writer appends fields (`,"key":value`) to a `String`. Integers
+//! are written digit by digit, floats in Rust's shortest round-trip
+//! form (so a parse-and-reserialize cycle is byte-stable) or `null`
+//! when not finite, as JSON has no literal for them. [`Quoted`] and
+//! [`Number`] render the same values inside `format!` arguments.
+
+use std::fmt::{self, Write as _};
+
+use crate::text::push_u64_str;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,6 +271,77 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
+/// Appends `,"key":`, the separator and key of a field after the first.
+pub fn push_key(s: &mut String, key: &str) {
+    s.push_str(",\"");
+    s.push_str(key);
+    s.push_str("\":");
+}
+
+/// Appends the field `,"key":v`.
+pub fn push_u64(s: &mut String, key: &str, v: u64) {
+    push_key(s, key);
+    push_u64_str(s, v);
+}
+
+/// Appends the field `,"key":true` or `,"key":false`.
+pub fn push_bool(s: &mut String, key: &str, v: bool) {
+    push_key(s, key);
+    s.push_str(if v { "true" } else { "false" });
+}
+
+/// Appends the field `,"key":v` as a [`Number`].
+pub fn push_f64(s: &mut String, key: &str, v: f64) {
+    push_key(s, key);
+    let _ = write!(s, "{}", Number(v));
+}
+
+/// Appends the field `,"key":"v"` as a [`Quoted`] string.
+pub fn push_str(s: &mut String, key: &str, v: &str) {
+    push_key(s, key);
+    let _ = write_quoted(s, v);
+}
+
+/// A JSON string literal: `v` in quotes, with `"`, `\\` and control
+/// characters escaped.
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_quoted(f, self.0)
+    }
+}
+
+fn write_quoted<W: fmt::Write>(out: &mut W, v: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in v.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+/// A JSON number: the shortest representation that parses back to the
+/// same `f64` (`1.5`, `3`), or `null` for NaN and infinities.
+pub struct Number(pub f64);
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,5 +388,44 @@ mod tests {
         assert_eq!(parse("3").unwrap().as_u64(), Some(3));
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn quoted_escapes_specials() {
+        assert_eq!(Quoted("plain").to_string(), "\"plain\"");
+        assert_eq!(Quoted("a\"b\\c\nd").to_string(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(Quoted("\u{1}\té").to_string(), "\"\\u0001\\té\"");
+        let mut s = String::from("{\"a\":1");
+        push_str(&mut s, "b", "x\"y");
+        assert_eq!(s, r#"{"a":1,"b":"x\"y""#);
+    }
+
+    #[test]
+    fn numbers_are_shortest_or_null() {
+        assert_eq!(Number(1.5).to_string(), "1.5");
+        assert_eq!(Number(3.0).to_string(), "3");
+        assert_eq!(Number(0.1 + 0.2).to_string(), "0.30000000000000004");
+        assert_eq!(Number(f64::INFINITY).to_string(), "null");
+        assert_eq!(Number(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn fields_parse_back() {
+        let mut s = String::from("{\"ev\":\"x\"");
+        push_u64(&mut s, "n", u64::MAX);
+        push_bool(&mut s, "ok", true);
+        push_f64(&mut s, "r", -2.25e-7);
+        push_f64(&mut s, "bad", f64::NAN);
+        push_str(&mut s, "k", "\u{7}q");
+        s.push('}');
+        assert_eq!(
+            s,
+            r#"{"ev":"x","n":18446744073709551615,"ok":true,"r":-0.000000225,"bad":null,"k":"\u0007q"}"#
+        );
+        let v = parse(&s).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
+        assert_eq!(v.get("r").and_then(Value::as_f64), Some(-2.25e-7));
+        assert_eq!(v.get("bad"), Some(&Value::Null));
+        assert_eq!(v.get("k").and_then(Value::as_str), Some("\u{7}q"));
     }
 }

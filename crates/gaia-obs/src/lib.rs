@@ -37,6 +37,11 @@
 //! * **Trace analysis** ([`trace_summary`], [`json`]) — parses a JSONL
 //!   event stream back into typed events and reconstructs per-job
 //!   wait/eviction statistics (the `gaia trace summarize` subcommand).
+//! * **Output writers** ([`text`], [`json`]) — the block-buffered
+//!   [`text::RowWriter`] behind every simulator CSV, integer and
+//!   `{:.N}` float formatting byte-identical to std's, and the one JSON
+//!   field writer shared by events, the serving protocol and the sweep
+//!   store.
 //!
 //! # Determinism contract
 //!
@@ -70,6 +75,7 @@ pub mod log;
 pub mod metrics;
 pub mod profile;
 pub mod sink;
+pub mod text;
 pub mod trace_summary;
 
 pub use event::{CacheKind, Event, PlanMode, PoolKind};

@@ -139,6 +139,8 @@ impl Sink for CountingSink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    /// One event's line, reused so an emit allocates nothing.
+    line: String,
     written: u64,
     error: Option<io::Error>,
 }
@@ -149,6 +151,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         Self {
             writer,
+            line: String::with_capacity(128),
             written: 0,
             error: None,
         }
@@ -174,9 +177,10 @@ impl<W: Write> Sink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let mut line = event.to_json_line();
-        line.push('\n');
-        match self.writer.write_all(line.as_bytes()) {
+        self.line.clear();
+        event.write_json_line(&mut self.line);
+        self.line.push('\n');
+        match self.writer.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(err) => self.error = Some(err),
         }

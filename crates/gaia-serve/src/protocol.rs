@@ -12,7 +12,7 @@
 //! matter, unknown ops and missing or mistyped fields are rejected with
 //! an `{"ok":false,...}` response rather than a dropped connection.
 
-use gaia_obs::json::{self, Value};
+use gaia_obs::json::{self, push_f64, push_str, push_u64, Value};
 
 /// A client request, one per JSONL line.
 #[derive(Debug, Clone, PartialEq)]
@@ -410,47 +410,6 @@ impl Response {
         s.push('}');
         s
     }
-}
-
-fn push_key(s: &mut String, key: &str) {
-    s.push(',');
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-}
-
-fn push_u64(s: &mut String, key: &str, v: u64) {
-    push_key(s, key);
-    s.push_str(&v.to_string());
-}
-
-fn push_f64(s: &mut String, key: &str, v: f64) {
-    push_key(s, key);
-    if v.is_finite() {
-        // Shortest round-trip formatting, matching the trace encoder.
-        s.push_str(&format!("{v}"));
-    } else {
-        s.push_str("null");
-    }
-}
-
-fn push_str(s: &mut String, key: &str, v: &str) {
-    push_key(s, key);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 fn field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, String> {

@@ -7,40 +7,45 @@
 use std::io::Write;
 
 use gaia_carbon::CarbonTrace;
+use gaia_obs::text::RowWriter;
 use gaia_time::SimTime;
 
 use crate::report::SimReport;
+
+const AGGREGATE_HEADER: &str = "jobs,carbon_g,cost_total,cost_reserved_prepaid,cost_on_demand,\
+    cost_spot,total_waiting_min,total_completion_min,reserved_cpu_hours,on_demand_cpu_hours,\
+    spot_cpu_hours,reserved_utilization,evictions";
+
+const DETAILS_HEADER: &str = "job_id,arrival_min,length_min,cpus,first_start_min,finish_min,\
+    waiting_min,completion_min,carbon_g,marginal_cost,evictions,segments";
+
+const RUNTIME_HEADER: &str =
+    "hour,reserved_cpus,on_demand_cpus,spot_cpus,carbon_intensity,carbon_g";
 
 /// Writes the aggregate file: one row of cluster-wide totals.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn write_aggregate_csv<W: Write>(mut writer: W, report: &SimReport) -> std::io::Result<()> {
-    writeln!(
-        writer,
-        "jobs,carbon_g,cost_total,cost_reserved_prepaid,cost_on_demand,cost_spot,\
-         total_waiting_min,total_completion_min,reserved_cpu_hours,on_demand_cpu_hours,\
-         spot_cpu_hours,reserved_utilization,evictions"
-    )?;
+pub fn write_aggregate_csv<W: Write>(writer: W, report: &SimReport) -> std::io::Result<()> {
+    let mut rows = RowWriter::new(writer);
+    rows.text(AGGREGATE_HEADER).end_row()?;
     let t = &report.totals;
-    writeln!(
-        writer,
-        "{},{:.3},{:.5},{:.5},{:.5},{:.5},{},{},{:.3},{:.3},{:.3},{:.4},{}",
-        t.jobs,
-        t.carbon_g,
-        t.total_cost(),
-        t.cost_reserved_prepaid,
-        t.cost_on_demand,
-        t.cost_spot,
-        t.total_waiting.as_minutes(),
-        t.total_completion.as_minutes(),
-        t.reserved_cpu_hours,
-        t.on_demand_cpu_hours,
-        t.spot_cpu_hours,
-        t.reserved_utilization(),
-        t.evictions,
-    )
+    rows.u64(t.jobs as u64)
+        .fixed(t.carbon_g, 3)
+        .fixed(t.total_cost(), 5)
+        .fixed(t.cost_reserved_prepaid, 5)
+        .fixed(t.cost_on_demand, 5)
+        .fixed(t.cost_spot, 5)
+        .u64(t.total_waiting.as_minutes())
+        .u64(t.total_completion.as_minutes())
+        .fixed(t.reserved_cpu_hours, 3)
+        .fixed(t.on_demand_cpu_hours, 3)
+        .fixed(t.spot_cpu_hours, 3)
+        .fixed(t.reserved_utilization(), 4)
+        .u64(t.evictions)
+        .end_row()?;
+    rows.finish()
 }
 
 /// Writes the details file: one row per job.
@@ -48,31 +53,25 @@ pub fn write_aggregate_csv<W: Write>(mut writer: W, report: &SimReport) -> std::
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
-pub fn write_details_csv<W: Write>(mut writer: W, report: &SimReport) -> std::io::Result<()> {
-    writeln!(
-        writer,
-        "job_id,arrival_min,length_min,cpus,first_start_min,finish_min,waiting_min,\
-         completion_min,carbon_g,marginal_cost,evictions,segments"
-    )?;
+pub fn write_details_csv<W: Write>(writer: W, report: &SimReport) -> std::io::Result<()> {
+    let mut rows = RowWriter::new(writer);
+    rows.text(DETAILS_HEADER).end_row()?;
     for outcome in &report.jobs {
-        writeln!(
-            writer,
-            "{},{},{},{},{},{},{},{},{:.3},{:.5},{},{}",
-            outcome.job.id.0,
-            outcome.job.arrival.as_minutes(),
-            outcome.job.length.as_minutes(),
-            outcome.job.cpus,
-            outcome.first_start.as_minutes(),
-            outcome.finish.as_minutes(),
-            outcome.waiting.as_minutes(),
-            outcome.completion.as_minutes(),
-            outcome.carbon_g,
-            outcome.cost,
-            outcome.evictions,
-            outcome.segments.len(),
-        )?;
+        rows.u64(outcome.job.id.0)
+            .u64(outcome.job.arrival.as_minutes())
+            .u64(outcome.job.length.as_minutes())
+            .u64(u64::from(outcome.job.cpus))
+            .u64(outcome.first_start.as_minutes())
+            .u64(outcome.finish.as_minutes())
+            .u64(outcome.waiting.as_minutes())
+            .u64(outcome.completion.as_minutes())
+            .fixed(outcome.carbon_g, 3)
+            .fixed(outcome.cost, 5)
+            .u64(u64::from(outcome.evictions))
+            .u64(outcome.segments.len() as u64)
+            .end_row()?;
     }
-    Ok(())
+    rows.finish()
 }
 
 /// Writes the run-time file: hourly allocation per purchase option plus
@@ -83,37 +82,127 @@ pub fn write_details_csv<W: Write>(mut writer: W, report: &SimReport) -> std::io
 ///
 /// Returns any I/O error from the writer.
 pub fn write_runtime_csv<W: Write>(
-    mut writer: W,
+    writer: W,
     report: &SimReport,
     carbon: &CarbonTrace,
 ) -> std::io::Result<()> {
-    writeln!(
-        writer,
-        "hour,reserved_cpus,on_demand_cpus,spot_cpus,carbon_intensity,carbon_g"
-    )?;
-    for hour in 0..report.timeline.hours() {
-        let busy = report.timeline.total_at(hour);
+    let mut rows = RowWriter::new(writer);
+    rows.text(RUNTIME_HEADER).end_row()?;
+    let timeline = &report.timeline;
+    for hour in 0..timeline.hours() {
+        let busy = timeline.total_at(hour);
         let ci = carbon.intensity_at(SimTime::from_hours(hour as u64));
-        writeln!(
-            writer,
-            "{},{:.3},{:.3},{:.3},{:.1},{:.3}",
-            hour,
-            report.timeline.reserved[hour],
-            report.timeline.on_demand[hour],
-            report.timeline.spot[hour],
-            ci,
-            busy * ci,
-        )?;
+        rows.u64(hour as u64)
+            .fixed(timeline.reserved[hour], 3)
+            .fixed(timeline.on_demand[hour], 3)
+            .fixed(timeline.spot[hour], 3)
+            .fixed(ci, 1)
+            .fixed(busy * ci, 3)
+            .end_row()?;
     }
-    Ok(())
+    rows.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterConfig, Decision, Scheduler, SchedulerContext, Simulation};
+    use crate::{ClusterConfig, Decision, EvictionModel, Scheduler, SchedulerContext, Simulation};
+    use gaia_carbon::Region;
     use gaia_time::Minutes;
+    use gaia_workload::synth::TraceFamily;
     use gaia_workload::{Job, JobId, WorkloadTrace};
+
+    /// The `writeln!` writers the [`RowWriter`] ones replaced: the
+    /// reference their bytes are compared against.
+    mod oracle {
+        use super::*;
+
+        pub fn write_aggregate_csv<W: Write>(
+            mut writer: W,
+            report: &SimReport,
+        ) -> std::io::Result<()> {
+            writeln!(
+                writer,
+                "jobs,carbon_g,cost_total,cost_reserved_prepaid,cost_on_demand,cost_spot,\
+                 total_waiting_min,total_completion_min,reserved_cpu_hours,on_demand_cpu_hours,\
+                 spot_cpu_hours,reserved_utilization,evictions"
+            )?;
+            let t = &report.totals;
+            writeln!(
+                writer,
+                "{},{:.3},{:.5},{:.5},{:.5},{:.5},{},{},{:.3},{:.3},{:.3},{:.4},{}",
+                t.jobs,
+                t.carbon_g,
+                t.total_cost(),
+                t.cost_reserved_prepaid,
+                t.cost_on_demand,
+                t.cost_spot,
+                t.total_waiting.as_minutes(),
+                t.total_completion.as_minutes(),
+                t.reserved_cpu_hours,
+                t.on_demand_cpu_hours,
+                t.spot_cpu_hours,
+                t.reserved_utilization(),
+                t.evictions,
+            )
+        }
+
+        pub fn write_details_csv<W: Write>(
+            mut writer: W,
+            report: &SimReport,
+        ) -> std::io::Result<()> {
+            writeln!(
+                writer,
+                "job_id,arrival_min,length_min,cpus,first_start_min,finish_min,waiting_min,\
+                 completion_min,carbon_g,marginal_cost,evictions,segments"
+            )?;
+            for outcome in &report.jobs {
+                writeln!(
+                    writer,
+                    "{},{},{},{},{},{},{},{},{:.3},{:.5},{},{}",
+                    outcome.job.id.0,
+                    outcome.job.arrival.as_minutes(),
+                    outcome.job.length.as_minutes(),
+                    outcome.job.cpus,
+                    outcome.first_start.as_minutes(),
+                    outcome.finish.as_minutes(),
+                    outcome.waiting.as_minutes(),
+                    outcome.completion.as_minutes(),
+                    outcome.carbon_g,
+                    outcome.cost,
+                    outcome.evictions,
+                    outcome.segments.len(),
+                )?;
+            }
+            Ok(())
+        }
+
+        pub fn write_runtime_csv<W: Write>(
+            mut writer: W,
+            report: &SimReport,
+            carbon: &CarbonTrace,
+        ) -> std::io::Result<()> {
+            writeln!(
+                writer,
+                "hour,reserved_cpus,on_demand_cpus,spot_cpus,carbon_intensity,carbon_g"
+            )?;
+            for hour in 0..report.timeline.hours() {
+                let busy = report.timeline.total_at(hour);
+                let ci = carbon.intensity_at(SimTime::from_hours(hour as u64));
+                writeln!(
+                    writer,
+                    "{},{:.3},{:.3},{:.3},{:.1},{:.3}",
+                    hour,
+                    report.timeline.reserved[hour],
+                    report.timeline.on_demand[hour],
+                    report.timeline.spot[hour],
+                    ci,
+                    busy * ci,
+                )?;
+            }
+            Ok(())
+        }
+    }
 
     struct RunNow;
     impl Scheduler for RunNow {
@@ -134,6 +223,59 @@ mod tests {
             .expect("valid decisions")
             .into_report();
         (report, carbon)
+    }
+
+    /// Jobs of up to two hours go to spot at arrival, the rest run at
+    /// arrival on reserved capacity, spilling to on-demand.
+    struct ShortOnSpot;
+    impl Scheduler for ShortOnSpot {
+        fn on_arrival(&mut self, job: &Job, _ctx: &SchedulerContext<'_>) -> Decision {
+            let decision = Decision::run_at(job.arrival);
+            if job.length <= Minutes::new(120) {
+                decision.on_spot()
+            } else {
+                decision
+            }
+        }
+    }
+
+    fn bytes(write: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write(&mut buf).expect("writing to a Vec cannot fail");
+        buf
+    }
+
+    #[test]
+    fn writers_match_the_writeln_oracles_on_a_year_scale_report() {
+        let carbon = gaia_carbon::synth::synthesize_region(Region::SouthAustralia, 7);
+        let trace = TraceFamily::AlibabaPai.year_long(3_000, 7);
+        let config = ClusterConfig::default()
+            .with_reserved(8)
+            .with_eviction(EvictionModel::hourly(0.2))
+            .with_seed(7);
+        let report = Simulation::new(config, &carbon)
+            .runner(&trace, &mut ShortOnSpot)
+            .execute()
+            .expect("valid decisions")
+            .into_report();
+        let t = &report.totals;
+        assert!(t.evictions > 0, "no spot evictions");
+        assert!(t.cost_on_demand > 0.0 && t.cost_spot > 0.0);
+
+        let details = bytes(|w| write_details_csv(w, &report));
+        // Several 64 KiB blocks, so block boundaries are crossed.
+        assert!(details.len() > 2 * 64 * 1024, "{} bytes", details.len());
+        assert!(details == bytes(|w| oracle::write_details_csv(w, &report)));
+        assert!(
+            bytes(|w| write_aggregate_csv(w, &report))
+                == bytes(|w| oracle::write_aggregate_csv(w, &report))
+        );
+        let runtime = bytes(|w| write_runtime_csv(w, &report, &carbon));
+        assert!(runtime == bytes(|w| oracle::write_runtime_csv(w, &report, &carbon)));
+        assert_eq!(
+            String::from_utf8(runtime).expect("utf-8").lines().count(),
+            1 + report.timeline.hours()
+        );
     }
 
     #[test]

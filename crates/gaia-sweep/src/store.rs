@@ -25,6 +25,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use gaia_obs::json::{Number, Quoted};
 use gaia_obs::{MetricsRegistry, Profiler};
 use gaia_sim::durable_write;
 
@@ -245,8 +246,8 @@ pub fn aggregate_json(groups: &[GroupSummary]) -> String {
             out,
             "    {{\"group\": {}, \"policy\": {}, \"seeds\": {}, \
              \"carbon_g\": {}, \"total_cost\": {}, \"mean_wait_hours\": {}}}",
-            json_string(&group.key),
-            json_string(&a.name),
+            Quoted(&group.key),
+            Quoted(&a.name),
             a.carbon_g.n,
             stats_json(&a.carbon_g),
             stats_json(&a.total_cost),
@@ -261,10 +262,10 @@ pub fn aggregate_json(groups: &[GroupSummary]) -> String {
 fn stats_json(stats: &gaia_metrics::SeedStats) -> String {
     format!(
         "{{\"mean\": {}, \"std\": {}, \"min\": {}, \"max\": {}}}",
-        json_f64(stats.mean),
-        json_f64(stats.std_dev),
-        json_f64(stats.min),
-        json_f64(stats.max),
+        Number(stats.mean),
+        Number(stats.std_dev),
+        Number(stats.min),
+        Number(stats.max),
     )
 }
 
@@ -282,13 +283,13 @@ pub fn manifest_json_observed(
 ) -> String {
     let grid = &run.grid;
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"grid\": {},", json_string(&grid.describe()));
+    let _ = writeln!(out, "  \"grid\": {},", Quoted(&grid.describe()));
     let _ = writeln!(
         out,
         "  \"policies\": [{}],",
         grid.policies
             .iter()
-            .map(|p| json_string(&p.name()))
+            .map(|p| Quoted(&p.name()).to_string())
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -297,7 +298,7 @@ pub fn manifest_json_observed(
         "  \"regions\": [{}],",
         grid.regions
             .iter()
-            .map(|r| json_string(r.code()))
+            .map(|r| Quoted(r.code()).to_string())
             .collect::<Vec<_>>()
             .join(", ")
     );
@@ -306,11 +307,11 @@ pub fn manifest_json_observed(
         "  \"families\": [{}],",
         grid.families
             .iter()
-            .map(|f| json_string(f.name()))
+            .map(|f| Quoted(f.name()).to_string())
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let _ = writeln!(out, "  \"scale\": {},", json_string(&grid.scale.token()));
+    let _ = writeln!(out, "  \"scale\": {},", Quoted(&grid.scale.token()));
     let _ = writeln!(
         out,
         "  \"seeds\": [{}],",
@@ -325,7 +326,7 @@ pub fn manifest_json_observed(
     let _ = writeln!(
         out,
         "  \"wall_clock_secs\": {},",
-        json_f64(run.wall.as_secs_f64())
+        Number(run.wall.as_secs_f64())
     );
     let _ = writeln!(
         out,
@@ -345,8 +346,8 @@ pub fn manifest_json_observed(
             .map(|cell| {
                 format!(
                     "{{\"key\": {}, \"error\": {}}}",
-                    json_string(&cell.key),
-                    json_string(cell.error().unwrap_or("failed")),
+                    Quoted(&cell.key),
+                    Quoted(cell.error().unwrap_or("failed")),
                 )
             })
             .collect::<Vec<_>>()
@@ -375,8 +376,8 @@ pub fn manifest_json_observed(
                 format!(
                     "{{\"key\": {}, \"attempts\": {attempts}, \
                      \"timed_out\": {timed_out}, \"recovered_error\": {}}}",
-                    json_string(&cell.key),
-                    json_string(error),
+                    Quoted(&cell.key),
+                    Quoted(error),
                 )
             })
             .collect::<Vec<_>>()
@@ -388,10 +389,10 @@ pub fn manifest_json_observed(
                 out,
                 "  \"timing_bench\": {{\"serial_secs\": {}, \"parallel_secs\": {}, \
                  \"workers\": {}, \"speedup\": {}}},",
-                json_f64(bench.serial_secs),
-                json_f64(bench.parallel_secs),
+                Number(bench.serial_secs),
+                Number(bench.parallel_secs),
                 bench.workers,
-                json_f64(bench.speedup),
+                Number(bench.speedup),
             );
         }
         None => {
@@ -406,7 +407,7 @@ pub fn manifest_json_observed(
             let _ = writeln!(out, "  \"profile\": null,");
         }
     }
-    let _ = writeln!(out, "  \"git_describe\": {}", json_string(&git_describe()));
+    let _ = writeln!(out, "  \"git_describe\": {}", Quoted(&git_describe()));
     out.push_str("}\n");
     out
 }
@@ -422,35 +423,6 @@ pub fn git_describe() -> String {
         .map(|s| s.trim().to_owned())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_owned())
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        // JSON has no Infinity/NaN literals.
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -507,20 +479,6 @@ mod tests {
         assert_eq!(csv_field("123.5"), "123.5");
         assert_eq!(csv_field("a,b"), "\"a,b\"");
         assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn json_f64_maps_non_finite_to_null() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(f64::NAN), "null");
     }
 
     #[test]
