@@ -39,13 +39,12 @@ use gaia_sim::{ClusterConfig, OnlineEngine};
 const MIN_SUBMITS_PER_SEC: f64 = 10_000.0;
 const MAX_P99_US: f64 = 1_000.0;
 /// Tail-spike gate: the worst single `apply` may not exceed 50× the
-/// p99.9 plus the measured host-noise budget. The engine's defenses —
-/// pairwise-distinct column capacities (at most one column reallocates
-/// on any submit, and `reserve_jobs` covers the provisioned volume
-/// entirely) and fixed-size event-queue segments (no unbounded bucket
-/// doubling when every waiting job targets the same low-carbon minute)
-/// — bound the *engine's* worst case; the calibration below accounts
-/// for what the host adds on top.
+/// p99.9 plus the measured host-noise budget. The engine's defense —
+/// pairwise-distinct capacities across the per-job columns and both
+/// event-queue lanes (at most one of them reallocates on any submit,
+/// and `reserve_jobs` covers the provisioned volume entirely, heap lane
+/// included) — bounds the *engine's* worst case; the calibration below
+/// accounts for what the host adds on top.
 const MAX_TAIL_SPIKE: f64 = 50.0;
 
 /// Spin time for [`host_noise_floor_us`].

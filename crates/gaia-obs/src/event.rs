@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use crate::json::{self, push_bool, push_f64, push_str, push_u64, Value};
+use crate::json::{self, field, push_bool, push_f64, push_str, push_u64, req_str, req_u64, Value};
 
 /// Capacity pool a job segment executes in.
 ///
@@ -746,18 +746,6 @@ impl Event {
     }
 }
 
-fn field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_u64(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
 fn req_u32(value: &Value, key: &str) -> Result<u32, String> {
     u32::try_from(req_u64(value, key)?).map_err(|_| format!("field {key:?} overflows u32"))
 }
@@ -777,13 +765,6 @@ fn req_bool(value: &Value, key: &str) -> Result<bool, String> {
     field(value, key)?
         .as_bool()
         .ok_or_else(|| format!("field {key:?} is not a bool"))
-}
-
-fn req_str(value: &Value, key: &str) -> Result<String, String> {
-    field(value, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("field {key:?} is not a string"))
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@
 //! session, snapshot, or wire-response path reads it back.
 //! `gaia-serve`'s telemetry proptests pin that down byte-for-byte.
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -113,13 +114,16 @@ impl FlightFrame {
         }
     }
 
-    /// One JSON object, fixed field order — the dump format
-    /// `gaia trace flight` validates.
-    pub fn to_json_line(&self) -> String {
-        format!(
+    /// Appends one JSON object, fixed field order and no newline — the
+    /// dump format `gaia trace flight` validates — to `s`, so a dump can
+    /// reuse one buffer for every frame.
+    pub fn write_json_line(&self, s: &mut String) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(
+            s,
             "{{\"wall_us\":{},\"ev\":\"{}\",\"t\":{},\"job\":{},\"aux\":{}}}",
             self.wall_us, self.kind, self.t, self.job, self.aux
-        )
+        );
     }
 }
 
@@ -225,8 +229,10 @@ impl FlightRecorder {
     /// number of frames written.
     pub fn dump_jsonl<W: Write>(&self, mut writer: W) -> io::Result<u64> {
         let frames = self.snapshot();
+        let mut line = String::with_capacity(96);
         for frame in &frames {
-            let mut line = frame.to_json_line();
+            line.clear();
+            frame.write_json_line(&mut line);
             line.push('\n');
             writer.write_all(line.as_bytes())?;
         }

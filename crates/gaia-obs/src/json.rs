@@ -1,5 +1,5 @@
-//! Minimal JSON reader and field writer for JSONL event streams, the
-//! serving protocol and the sweep store's JSON artifacts.
+//! Minimal JSON reader, field readers and field writer for JSONL event
+//! streams, the serving protocol and the sweep store's JSON artifacts.
 //!
 //! The workspace is offline-buildable, and the vendored `serde` stand-in
 //! only covers the derive surface GAIA's other crates need, so trace
@@ -86,6 +86,29 @@ pub fn parse(input: &str) -> Result<Value, String> {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
+}
+
+/// The value under `key` in the object `value`, or a "missing field"
+/// error naming it.
+pub fn field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, String> {
+    value
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// The non-negative integer under `key`.
+pub fn req_u64(value: &Value, key: &str) -> Result<u64, String> {
+    field(value, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
+}
+
+/// The string under `key`, owned.
+pub fn req_str(value: &Value, key: &str) -> Result<String, String> {
+    field(value, key)?
+        .as_str()
+        .map(str::to_owned)
+        .ok_or_else(|| format!("field {key:?} is not a string"))
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {

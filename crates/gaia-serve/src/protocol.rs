@@ -12,7 +12,7 @@
 //! matter, unknown ops and missing or mistyped fields are rejected with
 //! an `{"ok":false,...}` response rather than a dropped connection.
 
-use gaia_obs::json::{self, push_f64, push_str, push_u64, Value};
+use gaia_obs::json::{self, push_f64, push_str, push_u64, req_str, req_u64};
 
 /// A client request, one per JSONL line.
 #[derive(Debug, Clone, PartialEq)]
@@ -410,25 +410,6 @@ impl Response {
         s.push('}');
         s
     }
-}
-
-fn field<'v>(value: &'v Value, key: &str) -> Result<&'v Value, String> {
-    value
-        .get(key)
-        .ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn req_u64(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an unsigned integer"))
-}
-
-fn req_str(value: &Value, key: &str) -> Result<String, String> {
-    field(value, key)?
-        .as_str()
-        .map(str::to_owned)
-        .ok_or_else(|| format!("field {key:?} is not a string"))
 }
 
 #[cfg(test)]

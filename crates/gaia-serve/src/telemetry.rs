@@ -149,7 +149,7 @@ pub struct Gauges {
     pub cancelled: AtomicU64,
     /// Jobs accepted but not finished or cancelled.
     pub queued: AtomicU64,
-    /// Events waiting in the engine's calendar queue.
+    /// Events waiting in the engine's event queue.
     pub pending_events: AtomicU64,
     /// 1 while a forecast outage forces persistence fallback.
     pub degraded: AtomicU64,
@@ -320,7 +320,7 @@ impl ServeTelemetry {
             ),
             (
                 "gaia_engine_pending_events",
-                "Events waiting in the engine's calendar queue.",
+                "Events waiting in the engine's event queue.",
                 "gauge",
                 g.pending_events.load(Ordering::Relaxed),
             ),

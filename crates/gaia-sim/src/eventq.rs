@@ -1,303 +1,124 @@
-//! Calendar queue for engine events: same-minute batches instead of one
-//! heap pop at a time.
+//! Event queue for the engine: an ordered arrival run beside a binary
+//! heap.
 //!
-//! The engine's event order is the total order `(time, prio, seq)`. A
-//! binary heap realizes it with an O(log n) pointer-chasing pop per
-//! event; at year scale the heap holds hundreds of thousands of events
-//! and every pop walks a cache-hostile tree. This queue exploits the two
-//! structural facts the engine guarantees:
-//!
-//! 1. **Minute granularity** — every event timestamp is a whole
-//!    sim-minute, so events bucket exactly by minute.
-//! 2. **No pushes into the past** — [`EventQueue::insert`] is only
-//!    called with times at or after the engine clock, which itself never
-//!    exceeds the earliest queued event at dispatch time.
-//!
-//! Layout: a window of [`WINDOW`] one-minute buckets starting at `base`,
-//! an unsorted `far` overflow for events beyond the window, and the
-//! **current batch** `cur` — all events of the minute being processed,
-//! sorted by `(prio, seq)`. Draining a minute means taking its bucket
-//! wholesale, sorting once, and walking a contiguous slice; same-minute
-//! events produced *during* the batch splice into the unprocessed tail
-//! of `cur` at their `(prio, seq)` position, which reproduces the heap's
-//! total order exactly (sequence numbers are unique, so the order is
-//! total and deterministic). A 1-bit-per-bucket occupancy bitmap finds
-//! the next non-empty minute with word-sized scans; when the window
-//! empties, the queue rebases onto the earliest `far` minute in one
-//! O(|far|) partition pass (a handful of times per simulated year).
+//! The engine's event order is the total order `(time, prio, seq)`;
+//! sequence numbers are unique, so the order is total and deterministic.
+//! Much of the traffic already arrives in that order: the batch path
+//! submits a whole trace up front, sorted by arrival, and an in-order
+//! serving client does the same one request at a time. An insert whose
+//! key is greater than every key in the `run` lane is appended to it (a
+//! `VecDeque`, so the run stays sorted and pops from its front in O(1));
+//! every other insert goes to the `heap` lane, a `BinaryHeap` that
+//! already pops earliest-first through [`Event`]'s inverted `Ord`. A pop
+//! takes the smaller of the two heads, so the pop order is exactly the
+//! heap's total order whichever lane an event took.
 //!
 //! The snapshot codec serializes events sorted by `(time, prio, seq)`,
 //! so [`EventQueue::unprocessed`] — which iterates in arbitrary order —
-//! feeds a sort, and the bytes cannot depend on the internal layout.
+//! feeds a sort, and the bytes cannot depend on which lane holds what. A
+//! restored snapshot re-inserts its events in that sorted order, so all
+//! of them take the run.
+
+use std::collections::{BinaryHeap, VecDeque};
 
 use gaia_time::SimTime;
 
 use crate::online::Event;
 
-/// Bucketed minutes per window: ~22.7 simulated days. Events further out
-/// than that wait in `far` (one partition pass per window rotation).
-const WINDOW: usize = 1 << 15;
+/// Capacity slack of the run and heap lanes: odd multiples of 64 past
+/// the per-job columns' `64·(17+2k)` ladder (`k` = 19 and 20), so the
+/// lanes' capacities stay distinct from each other's and every
+/// column's under doubling.
+const RUN_SLACK: usize = 64 * (17 + 2 * 19);
+const HEAP_SLACK: usize = 64 * (17 + 2 * 20);
 
-/// Events per bucket segment. A bucket grows as a normal vector up to
-/// this length; past it, further same-minute events go to fixed-capacity
-/// overflow segments that are *never* reallocated. This bounds the
-/// worst-case cost of a single insert at one segment-sized copy
-/// (~400 KB) no matter how many events pile onto one minute — carbon
-/// policies routinely park every waiting job on the same low-carbon
-/// minute, and an unbounded vector would pay a multi-megabyte doubling
-/// copy inside whichever unlucky `submit` crossed the threshold (the
-/// tail-latency cliff `serve_bench` gates on).
-const CHUNK: usize = 1 << 14;
-
-/// Sentinel minute: "no such minute".
-const NONE: u64 = u64::MAX;
-
-/// A calendar/bucket queue over [`Event`]s, ordered by
-/// `(time, prio, seq)`.
+/// The engine's pending events, ordered by `(time, prio, seq)`.
 pub(crate) struct EventQueue {
-    /// First minute covered by `buckets`.
-    base: u64,
-    /// `buckets[i]` holds the unsorted events of minute `base + i`.
-    buckets: Vec<Vec<Event>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: Vec<u64>,
-    /// Earliest non-empty bucket minute, or [`NONE`].
-    next_filled: u64,
-    /// The current minute's batch, sorted ascending by `(prio, seq)`.
-    cur: Vec<Event>,
-    /// Next unprocessed index into `cur`.
-    cur_pos: usize,
-    /// Minute `cur` belongs to, or [`NONE`] before the first activation.
-    cur_min: u64,
-    /// Events at minutes `>= base + WINDOW`, unsorted.
-    far: Vec<Event>,
-    /// Earliest minute present in `far`, or [`NONE`].
-    far_min: u64,
-    /// Overflow segments for minutes whose bucket filled to [`CHUNK`]:
-    /// `(minute, segments)`, each segment at most [`CHUNK`] events in a
-    /// vector preallocated at exactly that capacity. Only a handful of
-    /// minutes ever get heavy (carbon troughs), so lookup is a linear
-    /// scan.
-    heavy: Vec<(u64, Vec<Vec<Event>>)>,
-    /// Total queued (unpopped) events.
-    len: usize,
+    /// Events in strictly ascending key order, earliest at the front.
+    run: VecDeque<Event>,
+    /// Every event that arrived out of the run's order.
+    heap: BinaryHeap<Event>,
+}
+
+/// The queue's total order; smaller pops first.
+fn key(e: &Event) -> (SimTime, u8, u64) {
+    (e.time, e.prio, e.seq)
 }
 
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            base: 0,
-            buckets: vec![Vec::new(); WINDOW],
-            occupied: vec![0; WINDOW / 64],
-            next_filled: NONE,
-            cur: Vec::new(),
-            cur_pos: 0,
-            cur_min: NONE,
-            far: Vec::new(),
-            far_min: NONE,
-            heavy: Vec::new(),
-            len: 0,
+            run: VecDeque::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
     /// Queued events not yet popped.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.run.len() + self.heap.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.run.is_empty() && self.heap.is_empty()
     }
 
-    /// Pre-sizes the overflow store (the only per-event allocation that
-    /// grows with backlog depth) for `additional` more events.
+    /// Pre-sizes both lanes for `additional` more events each (plus
+    /// their distinct slack), so neither reallocates while the queue
+    /// holds no more than that.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.far.reserve(additional);
+        self.run.reserve_exact(additional + RUN_SLACK);
+        self.heap.reserve_exact(additional + HEAP_SLACK);
     }
 
-    /// Enqueues one event. The caller guarantees `e.time` is at or after
-    /// the engine clock (and therefore at or after the current batch
-    /// minute once one is active).
+    /// Enqueues one event: onto the run if it sorts after the run's
+    /// last event, into the heap otherwise.
     pub(crate) fn insert(&mut self, e: Event) {
-        let m = e.time.as_minutes();
-        self.len += 1;
-        if m == self.cur_min {
-            // Splice into the unprocessed tail of the current batch at
-            // its (prio, seq) rank — exactly where a heap would yield it.
-            let key = (e.prio, e.seq);
-            let at =
-                self.cur_pos + self.cur[self.cur_pos..].partition_point(|x| (x.prio, x.seq) < key);
-            self.cur.insert(at, e);
-            return;
-        }
-        debug_assert!(
-            m >= self.base,
-            "event at minute {m} pushed behind the window base {}",
-            self.base
-        );
-        let off = m.saturating_sub(self.base);
-        if (off as usize) < WINDOW {
-            let i = off as usize;
-            self.bucket_push(i, m, e);
-            self.occupied[i / 64] |= 1 << (i % 64);
-            if m < self.next_filled {
-                self.next_filled = m;
-            }
+        if self.run.back().is_none_or(|last| key(&e) > key(last)) {
+            self.run.push_back(e);
         } else {
-            if m < self.far_min {
-                self.far_min = m;
-            }
-            self.far.push(e);
+            self.heap.push(e);
         }
     }
 
-    /// Stores one event under minute `m` (bucket offset `i`), spilling
-    /// to fixed-capacity overflow segments once the bucket holds
-    /// [`CHUNK`] events, so no single insert ever copies more than one
-    /// segment.
-    fn bucket_push(&mut self, i: usize, m: u64, e: Event) {
-        let bucket = &mut self.buckets[i];
-        if bucket.len() < CHUNK {
-            bucket.push(e);
-            return;
+    /// `true` when the next event to pop is the run's front.
+    fn run_first(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => key(r) < key(h),
+            (r, _) => r.is_some(),
         }
-        let segments = match self.heavy.iter_mut().position(|(hm, _)| *hm == m) {
-            Some(at) => &mut self.heavy[at].1,
-            None => {
-                self.heavy.push((m, Vec::new()));
-                &mut self.heavy.last_mut().expect("just pushed").1
-            }
-        };
-        if segments.last().is_none_or(|seg| seg.len() == CHUNK) {
-            segments.push(Vec::with_capacity(CHUNK));
-        }
-        segments.last_mut().expect("just pushed").push(e);
     }
 
     /// The timestamp of the next event to pop, if any.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let m = if self.cur_pos < self.cur.len() {
-            self.cur_min
-        } else if self.next_filled != NONE {
-            self.next_filled
-        } else if !self.far.is_empty() {
-            self.far_min
+        if self.run_first() {
+            self.run.front().map(|e| e.time)
         } else {
-            return None;
-        };
-        Some(SimTime::from_minutes(m))
+            self.heap.peek().map(|e| e.time)
+        }
     }
 
     /// Pops the next event in `(time, prio, seq)` order.
     pub(crate) fn pop(&mut self) -> Option<Event> {
-        loop {
-            if self.cur_pos < self.cur.len() {
-                let e = self.cur[self.cur_pos];
-                self.cur_pos += 1;
-                self.len -= 1;
-                return Some(e);
-            }
-            if self.next_filled != NONE {
-                self.activate(self.next_filled);
-            } else if !self.far.is_empty() {
-                self.rebase(self.far_min);
-            } else {
-                return None;
-            }
+        if self.run_first() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
         }
-    }
-
-    /// Makes `minute` (a non-empty bucket in the window) the current
-    /// batch: take the bucket, sort once by `(prio, seq)`, advance the
-    /// occupancy scan past it.
-    fn activate(&mut self, minute: u64) {
-        let i = (minute - self.base) as usize;
-        // Swap keeps both allocations alive: the drained batch becomes
-        // the (cleared) bucket, so steady state allocates nothing.
-        std::mem::swap(&mut self.cur, &mut self.buckets[i]);
-        self.buckets[i].clear();
-        if let Some(at) = self.heavy.iter().position(|(m, _)| *m == minute) {
-            let (_, segments) = self.heavy.swap_remove(at);
-            for segment in segments {
-                self.cur.extend(segment);
-            }
-        }
-        self.cur.sort_unstable_by_key(|e| (e.prio, e.seq));
-        self.cur_pos = 0;
-        self.cur_min = minute;
-        self.occupied[i / 64] &= !(1 << (i % 64));
-        self.next_filled = self.scan_from(i + 1);
-    }
-
-    /// Earliest occupied bucket minute at offset `>= i`, or [`NONE`].
-    fn scan_from(&self, i: usize) -> u64 {
-        if i >= WINDOW {
-            return NONE;
-        }
-        let mut word_idx = i / 64;
-        let mut word = self.occupied[word_idx] & (!0u64 << (i % 64));
-        loop {
-            if word != 0 {
-                let bit = word_idx * 64 + word.trailing_zeros() as usize;
-                return self.base + bit as u64;
-            }
-            word_idx += 1;
-            if word_idx >= self.occupied.len() {
-                return NONE;
-            }
-            word = self.occupied[word_idx];
-        }
-    }
-
-    /// Rotates the window to start at `new_base` (the earliest `far`
-    /// minute) and partitions `far` into it. Only called when every
-    /// bucket is empty, so no occupancy bits need clearing.
-    fn rebase(&mut self, new_base: u64) {
-        debug_assert_eq!(self.next_filled, NONE, "rebase with a non-empty window");
-        self.base = new_base;
-        let horizon = new_base + WINDOW as u64;
-        let old_far = std::mem::take(&mut self.far);
-        self.far_min = NONE;
-        for e in old_far {
-            let m = e.time.as_minutes();
-            if m < horizon {
-                let i = (m - new_base) as usize;
-                self.bucket_push(i, m, e);
-                self.occupied[i / 64] |= 1 << (i % 64);
-            } else {
-                if m < self.far_min {
-                    self.far_min = m;
-                }
-                self.far.push(e);
-            }
-        }
-        // The rebase target is the minimum far minute, so bucket 0 is
-        // occupied by construction.
-        self.next_filled = new_base;
     }
 
     /// Every queued (unpopped) event, in arbitrary order. Snapshot
     /// encoding sorts by `(time, prio, seq)` before serializing.
     pub(crate) fn unprocessed(&self) -> impl Iterator<Item = &Event> {
-        self.cur[self.cur_pos..]
-            .iter()
-            .chain(self.buckets.iter().flatten())
-            .chain(
-                self.heavy
-                    .iter()
-                    .flat_map(|(_, segments)| segments.iter().flatten()),
-            )
-            .chain(self.far.iter())
+        self.run.iter().chain(self.heap.iter())
     }
 }
 
 impl std::fmt::Debug for EventQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.len)
-            .field("base", &self.base)
-            .field("cur_min", &self.cur_min)
-            .finish_non_exhaustive()
+            .field("run", &self.run.len())
+            .field("heap", &self.heap.len())
+            .finish()
     }
 }
 
@@ -331,8 +152,8 @@ mod tests {
     }
 
     /// Random interleaving of pushes (never into the past, including
-    /// same-minute pushes mid-batch and far-future ones that force
-    /// window rotations) and pops must match the binary heap exactly.
+    /// same-minute pushes and far-future ones that jump the run's tail)
+    /// and pops must match the binary heap exactly.
     #[test]
     fn matches_heap_order_under_random_interleaving() {
         for seed in 0..20u64 {
@@ -349,8 +170,8 @@ mod tests {
                     let horizon = match rng.next() % 4 {
                         0 => 0,                             // same minute
                         1 => rng.next() % 50,               // near future
-                        2 => rng.next() % 5_000,            // in window
-                        _ => 40_000 + rng.next() % 200_000, // far, forces rebase
+                        2 => rng.next() % 5_000,            // days ahead
+                        _ => 40_000 + rng.next() % 200_000, // far future
                     };
                     let e = event(now + horizon, (rng.next() % 4) as u8, seq);
                     queue.insert(e);
@@ -376,13 +197,14 @@ mod tests {
         }
     }
 
-    /// A single minute holding several [`CHUNK`]s of events (the carbon
-    /// trough shape) must spill into overflow segments and still pop in
-    /// exact heap order, with [`EventQueue::unprocessed`] covering the
-    /// spilled events.
+    /// Tens of thousands of events on one minute (the carbon trough
+    /// shape: every waiting job parked on the same low-carbon minute)
+    /// split between the lanes by their random priorities, and must
+    /// still pop in exact heap order, with [`EventQueue::unprocessed`]
+    /// covering both lanes.
     #[test]
-    fn heavy_minute_spills_into_segments_and_keeps_order() {
-        let total = 2 * CHUNK as u64 + 4321;
+    fn heavy_minute_keeps_order() {
+        let total = 37_089u64;
         let mut rng = Mix(7);
         let mut queue = EventQueue::new();
         let mut heap: BinaryHeap<Event> = BinaryHeap::new();
@@ -399,7 +221,7 @@ mod tests {
         pending.sort_unstable_by_key(|e| (e.time, e.prio, e.seq));
         let mut expected: Vec<Event> = heap.iter().copied().collect();
         expected.sort_unstable_by_key(|e| (e.time, e.prio, e.seq));
-        assert_eq!(pending, expected, "unprocessed must cover spilled events");
+        assert_eq!(pending, expected, "unprocessed must cover both lanes");
         while let Some(expect) = heap.pop() {
             assert_eq!(queue.pop(), Some(expect));
         }
@@ -426,5 +248,102 @@ mod tests {
         pending.sort_unstable_by_key(|e| (e.time, e.prio, e.seq));
         expected.sort_unstable_by_key(|e| (e.time, e.prio, e.seq));
         assert_eq!(pending, expected);
+    }
+
+    /// Drains `queue` against `heap`, event by event.
+    fn drain_matches(queue: &mut EventQueue, heap: &mut BinaryHeap<Event>) {
+        while let Some(expect) = heap.pop() {
+            assert_eq!(queue.peek_time(), Some(expect.time));
+            assert_eq!(queue.pop(), Some(expect));
+        }
+        assert_eq!(queue.pop(), None);
+        assert!(queue.is_empty());
+    }
+
+    /// The batch path's shape: a whole trace of arrivals inserted in
+    /// order up front (all of them take the run), then the engine's own
+    /// inserts — releases, starts and finishes at or after the popped
+    /// event's minute — interleaved with pops.
+    #[test]
+    fn batch_submission_then_engine_inserts_match_heap() {
+        for seed in 0..8u64 {
+            let mut rng = Mix(seed);
+            let mut queue = EventQueue::new();
+            let mut heap: BinaryHeap<Event> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut t = 0u64;
+            for _ in 0..3000 {
+                seq += 1;
+                t += rng.next() % 30;
+                let e = event(t, 2, seq);
+                queue.insert(e);
+                heap.push(e);
+            }
+            assert_eq!(queue.heap.len(), 0, "in-order arrivals all take the run");
+            for _ in 0..6000 {
+                let expect = heap.pop();
+                assert_eq!(queue.pop(), expect, "seed {seed}");
+                let Some(now) = expect.map(|e| e.time.as_minutes()) else {
+                    break;
+                };
+                for _ in 0..rng.next() % 3 {
+                    seq += 1;
+                    let later = match rng.next() % 3 {
+                        0 => 0,
+                        1 => rng.next() % 240,
+                        _ => rng.next() % 20_000,
+                    };
+                    let prio = [0u8, 1, 3][(rng.next() % 3) as usize];
+                    let e = event(now + later, prio, seq);
+                    queue.insert(e);
+                    heap.push(e);
+                }
+                assert_eq!(queue.len(), heap.len(), "seed {seed}");
+            }
+            drain_matches(&mut queue, &mut heap);
+        }
+    }
+
+    /// The restore path's shape: every event inserted already sorted by
+    /// `(time, prio, seq)` lands in the run and pops in that order.
+    #[test]
+    fn sorted_inserts_all_take_the_run() {
+        let mut rng = Mix(11);
+        let mut events: Vec<Event> = (1..=5000u64)
+            .map(|seq| event(rng.next() % 50_000, (rng.next() % 4) as u8, seq))
+            .collect();
+        events.sort_unstable_by_key(|e| (e.time, e.prio, e.seq));
+        let mut queue = EventQueue::new();
+        let mut heap: BinaryHeap<Event> = BinaryHeap::new();
+        for &e in &events {
+            queue.insert(e);
+            heap.push(e);
+        }
+        assert_eq!(queue.run.len(), events.len());
+        assert!(queue.heap.is_empty());
+        drain_matches(&mut queue, &mut heap);
+    }
+
+    /// `reserve(n)` covers `n` inserts into either lane: neither
+    /// reallocates, whichever lane the events take.
+    #[test]
+    fn reserve_covers_inserts_into_either_lane() {
+        let n = 10_000u64;
+        for descending in [false, true] {
+            let mut queue = EventQueue::new();
+            queue.reserve(n as usize);
+            let capacities = (queue.run.capacity(), queue.heap.capacity());
+            for i in 1..=n {
+                // Ascending keys all take the run; descending keys all
+                // but the first take the heap.
+                let t = if descending { n - i } else { i };
+                queue.insert(event(t, 2, i));
+                assert_eq!((queue.run.capacity(), queue.heap.capacity()), capacities);
+            }
+            assert_eq!(queue.len(), n as usize);
+            if descending {
+                assert_eq!(queue.run.len(), 1);
+            }
+        }
     }
 }

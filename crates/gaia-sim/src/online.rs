@@ -19,9 +19,10 @@
 //! into a shared [`PlanArena`]; per-job segment accounting records form
 //! intrusive chains through one arena (`seg_nodes`), materialized into
 //! per-job `Vec`s only by [`OnlineEngine::into_report`]. Events are
-//! queued in a calendar [`EventQueue`] that drains whole same-minute
-//! batches (one sort per minute, contiguous walks) rather than one heap
-//! pop at a time. None of this changes behaviour: the event total order
+//! queued in an [`EventQueue`] of two lanes: inserts that arrive in key
+//! order (a trace submitted up front, an in-order client, a restored
+//! snapshot) append to a sorted run, and the rest go to a binary heap.
+//! None of this changes behaviour: the event total order
 //! `(time, prio, seq)` is preserved exactly, so reports, trace streams,
 //! and snapshot bytes are bit-identical to the pre-columnar engine
 //! (kept as [`crate::oracle::OracleEngine`], a test reference only,
@@ -507,10 +508,10 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         self.queue.reserve(additional);
     }
 
-    /// Seeds every per-job column with a distinct initial capacity — an
-    /// odd multiple of 64, so capacities stay pairwise distinct under
-    /// amortized doubling forever and at most one column reallocates on
-    /// any given submit. Without this, every column doubles at the same
+    /// Seeds every per-job column and both event-queue lanes with a
+    /// distinct initial capacity — an odd multiple of 64, so capacities
+    /// stay pairwise distinct under amortized doubling forever and at
+    /// most one of them reallocates on any given submit. Without this, every column doubles at the same
     /// power-of-two submission and that submit pays one giant copy — the
     /// tail-latency cliff `serve_bench` gates on (max / p99.9 ≤ 50×).
     fn stagger_columns(&mut self) {
@@ -536,6 +537,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         seed(&mut self.seg_head, 16);
         seed(&mut self.seg_tail, 17);
         seed(&mut self.seg_count, 18);
+        self.queue.reserve(0);
     }
 
     /// Submits one job. Its arrival event is queued; the policy decides

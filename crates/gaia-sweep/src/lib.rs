@@ -570,6 +570,10 @@ fn run_attempt_timed(
     let workload = cache.workload(scenario.family, scenario.scale, scenario.seed);
     let scenario = *scenario;
     let faults = faults.cloned();
+    // The budget runs from before the spawn, and the worker stamps when
+    // it finished: a cell that completes before the wait below begins
+    // still has to have beaten its deadline.
+    let deadline = Instant::now() + timeout;
     let (tx, rx) = std::sync::mpsc::channel();
     let spawned = std::thread::Builder::new()
         .name("gaia-sweep-timed-cell".to_owned())
@@ -603,12 +607,13 @@ fn run_attempt_timed(
             };
             // The receiver is gone if we overran the deadline; the
             // result is intentionally discarded then.
-            let _ = tx.send(result);
+            let _ = tx.send((result, Instant::now()));
         });
+    let left = deadline.saturating_duration_since(Instant::now());
     match spawned {
-        Ok(_detached) => match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(_) => (
+        Ok(_detached) => match rx.recv_timeout(left) {
+            Ok((result, done)) if done <= deadline => result,
+            _ => (
                 CellOutcome::Failed {
                     error: format!(
                         "{TIMEOUT_ERROR_PREFIX}{:.3}{TIMEOUT_ERROR_SUFFIX}",
