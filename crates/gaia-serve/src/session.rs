@@ -121,7 +121,11 @@ impl<'e, S: Sink> Session<'e, S> {
             .enumerate()
             .map(|(i, t)| telemetry.tenant(i, &t.name))
             .collect();
-        self.job_base = vec![JobBase::UNKNOWN; self.engine.submitted() as usize];
+        // Resized in place, so a reservation made by `reserve_jobs`
+        // before attachment survives it.
+        self.job_base.clear();
+        self.job_base
+            .resize(self.engine.submitted() as usize, JobBase::UNKNOWN);
         self.telemetry = Some(telemetry);
     }
 
@@ -151,6 +155,10 @@ impl<'e, S: Sink> Session<'e, S> {
     pub fn reserve_jobs(&mut self, additional: usize) {
         self.engine.reserve_jobs(additional);
         self.job_tenant.reserve(additional);
+        // Sized for every submission so far plus `additional`, so the
+        // room survives `attach_telemetry` filling in the earlier jobs.
+        let jobs = self.engine.submitted() as usize + additional;
+        self.job_base.reserve(jobs - self.job_base.len());
     }
 
     /// Borrow the underlying engine.
@@ -530,5 +538,50 @@ impl<S: Sink> std::fmt::Debug for Session<'_, S> {
             .field("tenants", &self.tenants.len())
             .field("snapshots", &self.snapshots)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gaia_carbon::synth::synthesize_region;
+    use gaia_carbon::{PerfectForecaster, Region};
+    use gaia_core::catalog::BasePolicyKind;
+    use gaia_obs::NullSink;
+    use gaia_sim::ClusterConfig;
+
+    fn submit(i: u64) -> Request {
+        Request::Submit {
+            tenant: "acme".to_owned(),
+            at: i,
+            len: 60,
+            cpus: 1,
+        }
+    }
+
+    /// `reserve_jobs` then `attach_telemetry`, as the daemon boots, also
+    /// after jobs were submitted untracked: the reserved submissions
+    /// never grow the telemetry baselines.
+    #[test]
+    fn reservation_covers_the_telemetry_baselines() {
+        let config = ClusterConfig::default().with_reserved(0).with_seed(3);
+        let carbon = synthesize_region(Region::SouthAustralia, 3);
+        let forecaster = PerfectForecaster::new(&carbon);
+        for earlier in [0u64, 37] {
+            let mut sink = NullSink;
+            let engine = OnlineEngine::new(&config, &carbon, &forecaster, &mut sink);
+            let mut session = Session::new(engine, PolicySpec::plain(BasePolicyKind::NoWait));
+            for i in 0..earlier {
+                session.apply(&submit(i));
+            }
+            session.reserve_jobs(5000);
+            session.attach_telemetry(Arc::new(ServeTelemetry::new()));
+            let capacity = session.job_base.capacity();
+            for i in earlier..earlier + 5000 {
+                session.apply(&submit(i));
+            }
+            assert_eq!(session.job_base.len(), (earlier + 5000) as usize);
+            assert_eq!(session.job_base.capacity(), capacity, "earlier {earlier}");
+        }
     }
 }
