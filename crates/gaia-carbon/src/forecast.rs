@@ -20,7 +20,8 @@
 //!
 //! * [`PerfectForecaster`] serves queries straight from a lazily built
 //!   [`ForecastIndex`] (O(1) integrals, O(log n) quantiles, O(horizon)
-//!   slot selection).
+//!   slot selection), and batched start-time scans from
+//!   [`CarbonTrace::window_integrals`].
 //! * [`NoisyForecaster`] and [`PersistenceForecaster`] memoize their
 //!   per-hour samples for the current `now`; the memo is invalidated
 //!   whenever a query is opened at a different instant.
@@ -119,6 +120,27 @@ pub trait ForecastQuery {
     /// Forecast CI integral over `[start, start + len)`, in (g/kWh)·hours.
     fn integral(&self, start: SimTime, len: Minutes) -> f64;
 
+    /// Forecast CI integrals over `[start + k·step, start + k·step + len)`
+    /// for `k in 0..count`, handed to `visit` in order of `k`.
+    ///
+    /// Each value is bit-identical to [`ForecastQuery::integral`] at that
+    /// start. The default is exactly that per-candidate loop; the indexed
+    /// query overrides it with the [`CarbonTrace::window_integrals`] scan.
+    fn scan_integrals(
+        &self,
+        start: SimTime,
+        step: Minutes,
+        len: Minutes,
+        count: u64,
+        visit: &mut dyn FnMut(f64),
+    ) {
+        let mut t = start;
+        for _ in 0..count {
+            visit(self.integral(t, len));
+            t += step;
+        }
+    }
+
     /// Forecast time-average CI over `[start, start + len)`.
     ///
     /// # Panics
@@ -215,6 +237,25 @@ struct IndexQuery<'s, 't> {
     now: SimTime,
 }
 
+impl IndexQuery<'_, '_> {
+    /// [`ForecastQuery::scan_integrals`] over the trace's scan kernel,
+    /// statically dispatched for the view's indexed arm.
+    #[inline]
+    fn scan(
+        &self,
+        start: SimTime,
+        step: Minutes,
+        len: Minutes,
+        count: u64,
+        visit: impl FnMut(f64),
+    ) {
+        self.index
+            .trace()
+            .window_integrals(start, step, len, count)
+            .for_each(visit);
+    }
+}
+
 impl ForecastQuery for IndexQuery<'_, '_> {
     fn now(&self) -> SimTime {
         self.now
@@ -230,6 +271,17 @@ impl ForecastQuery for IndexQuery<'_, '_> {
 
     fn integral(&self, start: SimTime, len: Minutes) -> f64 {
         self.index.window_integral(start, len)
+    }
+
+    fn scan_integrals(
+        &self,
+        start: SimTime,
+        step: Minutes,
+        len: Minutes,
+        count: u64,
+        visit: &mut dyn FnMut(f64),
+    ) {
+        self.scan(start, step, len, count, visit);
     }
 
     fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
@@ -485,6 +537,25 @@ impl<'a> ForecastView<'a> {
         match &self.backend {
             ViewBackend::Indexed(q) => q.integral(start, len),
             ViewBackend::Dyn(q) => q.integral(start, len),
+        }
+    }
+
+    /// Forecast CI integrals over `[start + k·step, start + k·step + len)`
+    /// for `k in 0..count`, handed to `visit` in order of `k` (see
+    /// [`ForecastQuery::scan_integrals`]). Each value is bit-identical to
+    /// [`ForecastView::integral`] at that start.
+    #[inline]
+    pub fn scan_integrals(
+        &self,
+        start: SimTime,
+        step: Minutes,
+        len: Minutes,
+        count: u64,
+        mut visit: impl FnMut(f64),
+    ) {
+        match &self.backend {
+            ViewBackend::Indexed(q) => q.scan(start, step, len, count, visit),
+            ViewBackend::Dyn(q) => q.scan_integrals(start, step, len, count, &mut visit),
         }
     }
 

@@ -191,7 +191,7 @@ impl CarbonTrace {
 
     /// Carbon intensity during hour `hour` (wrapping past the end).
     pub fn intensity_at_hour(&self, hour: u64) -> GramsPerKwh {
-        self.values[(hour % self.values.len() as u64) as usize]
+        self.values[reduce(hour, self.values.len() as u64) as usize]
     }
 
     /// Carbon intensity at instant `t` (piecewise-constant per hour).
@@ -205,50 +205,112 @@ impl CarbonTrace {
     ///
     /// Partial hours are prorated; the window may wrap past the trace end.
     pub fn window_integral(&self, start: SimTime, len: Minutes) -> f64 {
-        if len.is_zero() {
+        let n = self.values.len() as u64;
+        self.integral_at(
+            reduce(start.as_hours_floor(), n),
+            u64::from(start.minute_of_hour()),
+            &WindowLen::new(len, n),
+        )
+    }
+
+    /// The batched form of [`CarbonTrace::window_integral`]: yields
+    /// `window_integral(start + k·step, len)` for `k in 0..count`, bit for
+    /// bit.
+    ///
+    /// Both share one per-candidate body, so the summation order is
+    /// written once. The scan only replaces the per-call setup: it walks
+    /// the candidate's hour index and minute-of-hour forward by adding
+    /// and wrapping, instead of dividing by 60 and by the trace length
+    /// for every candidate. No table sized by the trace is built.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gaia_carbon::CarbonTrace;
+    /// use gaia_time::{Minutes, SimTime};
+    ///
+    /// let trace = CarbonTrace::from_hourly(vec![100.0, 300.0, 200.0])?;
+    /// let (start, step, len) = (SimTime::from_minutes(20), Minutes::new(50), Minutes::new(90));
+    /// for (k, integral) in trace.window_integrals(start, step, len, 7).enumerate() {
+    ///     let one = trace.window_integral(start + step * k as u64, len);
+    ///     assert_eq!(integral.to_bits(), one.to_bits());
+    /// }
+    /// # Ok::<(), gaia_carbon::CarbonError>(())
+    /// ```
+    pub fn window_integrals(
+        &self,
+        start: SimTime,
+        step: Minutes,
+        len: Minutes,
+        count: u64,
+    ) -> impl Iterator<Item = f64> + '_ {
+        let n = self.values.len() as u64;
+        WindowIntegrals {
+            trace: self,
+            len: WindowLen::new(len, n),
+            hour: reduce(start.as_hours_floor(), n),
+            minute: u64::from(start.minute_of_hour()),
+            step_hours: reduce(step.as_hours_floor(), n),
+            step_minutes: step.as_minutes() % MINUTES_PER_HOUR,
+            remaining: count,
+        }
+    }
+
+    /// The one integral body behind [`CarbonTrace::window_integral`] and
+    /// [`CarbonTrace::window_integrals`]: the window of `len` that starts
+    /// `minute` minutes into hour `hour` (already reduced modulo the trace
+    /// length).
+    ///
+    /// A window inside one hour is a single prorated sample. Otherwise
+    /// the sum is built as leading partial hour, then trailing partial
+    /// hour, then the whole hours between them from the prefix sums —
+    /// the order the engine has always summed in.
+    #[inline(always)]
+    fn integral_at(&self, hour: u64, minute: u64, len: &WindowLen) -> f64 {
+        if len.minutes == 0 {
             return 0.0;
         }
         let n = self.values.len() as u64;
-        let start_hour = start.as_hours_floor();
-        let end = start + len;
-        let end_hour_floor = end.as_hours_floor();
-
-        // Fast path: fully inside one hour.
-        if start_hour == end_hour_floor {
-            return self.intensity_at_hour(start_hour) * len.as_minutes() as f64
-                / MINUTES_PER_HOUR as f64;
+        let hourly = MINUTES_PER_HOUR as f64;
+        let (carry, end_minute) = if minute + len.rem < MINUTES_PER_HOUR {
+            (0, minute + len.rem)
+        } else {
+            (1, minute + len.rem - MINUTES_PER_HOUR)
+        };
+        // Hours from the start's hour to the end's hour.
+        let spanned = len.hours + carry;
+        if spanned == 0 {
+            return self.values[hour as usize] * minutes_f64(len.minutes) / hourly;
         }
 
         let mut total = 0.0;
-        // Leading partial hour.
-        let lead_end = start.ceil_hour();
-        if lead_end > start {
-            total += self.intensity_at_hour(start_hour) * (lead_end - start).as_minutes() as f64
-                / MINUTES_PER_HOUR as f64;
+        let lead = minute > 0;
+        if lead {
+            total += self.values[hour as usize] * minutes_f64(MINUTES_PER_HOUR - minute) / hourly;
         }
-        // Trailing partial hour.
-        let tail_start = end.floor_hour();
-        if end > tail_start {
-            total += self.intensity_at_hour(end_hour_floor)
-                * (end - tail_start).as_minutes() as f64
-                / MINUTES_PER_HOUR as f64;
+        if end_minute > 0 {
+            let end_hour = wrap(hour + len.hours_mod + carry, n);
+            total += self.values[end_hour as usize] * minutes_f64(end_minute) / hourly;
         }
-        // Whole hours in between, using the prefix sums (wrap-aware).
-        let first_full = lead_end.as_hours_floor();
-        let last_full = tail_start.as_hours_floor(); // exclusive
-        if last_full > first_full {
-            total += self.full_hours_sum(first_full % n, last_full - first_full);
+        let full = spanned - u64::from(lead);
+        if full > 0 {
+            let first_full = if lead { wrap(hour + 1, n) } else { hour };
+            total += self.full_hours_sum(first_full, full);
         }
         total
     }
 
     /// Sum of `count` consecutive hourly values starting at `start_hour`
     /// (which must already be reduced modulo the trace length), wrapping.
+    #[inline(always)]
     fn full_hours_sum(&self, start_hour: u64, count: u64) -> f64 {
         let n = self.values.len() as u64;
         let total_period = self.prefix[self.values.len()];
-        let whole_periods = count / n;
-        let rem = count % n;
+        let (whole_periods, rem) = if count < n {
+            (0, count)
+        } else {
+            (count / n, count % n)
+        };
         let mut sum = whole_periods as f64 * total_period;
         let s = start_hour as usize;
         let e = start_hour + rem;
@@ -291,9 +353,14 @@ impl CarbonTrace {
     /// minimizing the average CI over a window of `window` minutes, and
     /// returns `(best_start, best_avg)`.
     ///
-    /// Ties favor the earliest candidate, which keeps waiting times low
-    /// when several windows are equally green (the paper's motivation for
-    /// performance-aware policies, §3).
+    /// The averages come from one [`CarbonTrace::window_integrals`] scan.
+    /// The search starts at the first candidate; a later one replaces the
+    /// current best only if its average is lower by more than `1e-12`.
+    /// Exact ties and near-ties inside that margin keep the earlier
+    /// candidate, which keeps waiting times low when several windows are
+    /// equally green (the paper's motivation for performance-aware
+    /// policies, §3). The margin is measured against the current best,
+    /// so averages that fall in steps below it can still move the choice.
     ///
     /// # Panics
     ///
@@ -308,11 +375,13 @@ impl CarbonTrace {
         assert!(!step.is_zero(), "step must be positive");
         assert!(!window.is_zero(), "window must be positive");
         assert!(!horizon.is_zero(), "horizon must be positive");
+        let count = horizon.as_minutes().div_ceil(step.as_minutes());
+        let hours = window.as_hours_f64();
         let mut best_t = start;
         let mut best_avg = f64::INFINITY;
         let mut t = start;
-        while t < start + horizon {
-            let avg = self.window_avg(t, window);
+        for integral in self.window_integrals(start, step, window, count) {
+            let avg = integral / hours;
             if avg < best_avg - 1e-12 {
                 best_avg = avg;
                 best_t = t;
@@ -320,6 +389,101 @@ impl CarbonTrace {
             t += step;
         }
         (best_t, best_avg)
+    }
+}
+
+/// A window length split into the parts [`CarbonTrace::integral_at`]
+/// consumes, computed once per query or scan.
+#[derive(Debug, Clone, Copy)]
+struct WindowLen {
+    /// The whole length, in minutes.
+    minutes: u64,
+    /// Whole hours in the length.
+    hours: u64,
+    /// `hours` reduced modulo the trace length.
+    hours_mod: u64,
+    /// Minutes past the whole hours.
+    rem: u64,
+}
+
+impl WindowLen {
+    fn new(len: Minutes, n: u64) -> Self {
+        let hours = len.as_hours_floor();
+        WindowLen {
+            minutes: len.as_minutes(),
+            hours,
+            hours_mod: reduce(hours, n),
+            rem: len.as_minutes() % MINUTES_PER_HOUR,
+        }
+    }
+}
+
+/// `m as f64` for a minute count below an hour, through the one-instruction
+/// `u32` conversion; exact, so the bits match the `u64` conversion.
+#[inline]
+fn minutes_f64(m: u64) -> f64 {
+    debug_assert!(m < MINUTES_PER_HOUR);
+    f64::from(m as u32)
+}
+
+/// `x mod n`, skipping the division in the common case `x < n`.
+fn reduce(x: u64, n: u64) -> u64 {
+    if x < n {
+        x
+    } else {
+        x % n
+    }
+}
+
+/// `x mod n` for `x < 2n`: one compare-and-subtract.
+fn wrap(x: u64, n: u64) -> u64 {
+    if x >= n {
+        x - n
+    } else {
+        x
+    }
+}
+
+/// The window-integral scan of [`CarbonTrace::window_integrals`].
+struct WindowIntegrals<'t> {
+    trace: &'t CarbonTrace,
+    len: WindowLen,
+    /// Hour index of the next candidate, reduced modulo the trace length.
+    hour: u64,
+    /// Minute-of-hour of the next candidate.
+    minute: u64,
+    /// Whole hours per step, reduced modulo the trace length.
+    step_hours: u64,
+    /// Minutes per step past the whole hours.
+    step_minutes: u64,
+    remaining: u64,
+}
+
+impl Iterator for WindowIntegrals<'_> {
+    type Item = f64;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<f64> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let integral = self.trace.integral_at(self.hour, self.minute, &self.len);
+        let n = self.trace.values.len() as u64;
+        self.minute += self.step_minutes;
+        let carry = if self.minute >= MINUTES_PER_HOUR {
+            self.minute -= MINUTES_PER_HOUR;
+            1
+        } else {
+            0
+        };
+        self.hour = wrap(self.hour + self.step_hours + carry, n);
+        Some(integral)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.remaining as usize;
+        (left, Some(left))
     }
 }
 

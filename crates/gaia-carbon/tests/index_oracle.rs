@@ -9,6 +9,10 @@
 //! by `(ci, start)` and took greedily, and integrals walked the hourly
 //! slots (the perfect forecaster has always delegated to the trace's
 //! exact prefix-sum integral, which the index reuses unchanged).
+//!
+//! The trace's window integral and its batched scan are checked against
+//! [`oracle_window_integral`], the pre-scan `window_integral` kept
+//! verbatim, and `min_window_start` against its per-candidate loop.
 
 use gaia_carbon::synth::synthesize_region;
 use gaia_carbon::{
@@ -57,6 +61,114 @@ fn oracle_greenest(slots: Vec<(SimTime, Minutes, f64)>, need: Minutes) -> Vec<(S
     merged
 }
 
+/// The pre-scan `CarbonTrace::window_integral`, verbatim over prefix
+/// sums accumulated the way the trace accumulates its own.
+fn oracle_window_integral(trace: &CarbonTrace, start: SimTime, len: Minutes) -> f64 {
+    if len.is_zero() {
+        return 0.0;
+    }
+    let values = trace.hourly_values();
+    let mut prefix = vec![0.0];
+    let mut acc = 0.0;
+    for &v in values {
+        acc += v;
+        prefix.push(acc);
+    }
+    let n = values.len() as u64;
+    let start_hour = start.as_hours_floor();
+    let end = start + len;
+    let end_hour_floor = end.as_hours_floor();
+    if start_hour == end_hour_floor {
+        return trace.intensity_at_hour(start_hour) * len.as_minutes() as f64 / 60.0;
+    }
+    let mut total = 0.0;
+    let lead_end = start.ceil_hour();
+    if lead_end > start {
+        total +=
+            trace.intensity_at_hour(start_hour) * (lead_end - start).as_minutes() as f64 / 60.0;
+    }
+    let tail_start = end.floor_hour();
+    if end > tail_start {
+        total +=
+            trace.intensity_at_hour(end_hour_floor) * (end - tail_start).as_minutes() as f64 / 60.0;
+    }
+    let first_full = lead_end.as_hours_floor();
+    let last_full = tail_start.as_hours_floor();
+    if last_full > first_full {
+        let (start_hour, count) = (first_full % n, last_full - first_full);
+        let total_period = prefix[values.len()];
+        let mut sum = (count / n) as f64 * total_period;
+        let (s, e) = (start_hour as usize, start_hour + count % n);
+        if e <= n {
+            sum += prefix[e as usize] - prefix[s];
+        } else {
+            sum += (prefix[values.len()] - prefix[s]) + prefix[(e - n) as usize];
+        }
+        total += sum;
+    }
+    total
+}
+
+/// The pre-scan `CarbonTrace::min_window_start`: one average per
+/// candidate, replaced only when lower by more than `1e-12`.
+fn oracle_min_window_start(
+    trace: &CarbonTrace,
+    start: SimTime,
+    horizon: Minutes,
+    window: Minutes,
+    step: Minutes,
+) -> (SimTime, f64) {
+    let mut best_t = start;
+    let mut best_avg = f64::INFINITY;
+    let mut t = start;
+    while t < start + horizon {
+        let avg = oracle_window_integral(trace, t, window) / window.as_hours_f64();
+        if avg < best_avg - 1e-12 {
+            best_avg = avg;
+            best_t = t;
+        }
+        t += step;
+    }
+    (best_t, best_avg)
+}
+
+/// Asserts that the scan, the single-window integral and the oracle
+/// agree bit for bit on every candidate of one scan.
+fn assert_scan_matches(
+    trace: &CarbonTrace,
+    start: SimTime,
+    step: Minutes,
+    len: Minutes,
+    count: u64,
+) {
+    let scanned: Vec<f64> = trace.window_integrals(start, step, len, count).collect();
+    assert_eq!(scanned.len() as u64, count);
+    for (k, got) in scanned.into_iter().enumerate() {
+        let t = start + step * k as u64;
+        let want = oracle_window_integral(trace, t, len);
+        assert_eq!(
+            trace.window_integral(t, len).to_bits(),
+            want.to_bits(),
+            "window_integral at {t} len {len}"
+        );
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "scan k={k} at {t} len {len} step {step}"
+        );
+    }
+}
+
+/// Short traces (1–48 h) with few distinct values, so windows wrap the
+/// period often and equal integrals are common.
+fn short_trace_strategy() -> impl Strategy<Value = CarbonTrace> {
+    proptest::collection::vec(
+        prop_oneof![1.0f64..2000.0, Just(100.0), Just(250.5), Just(0.0)],
+        1..49,
+    )
+    .prop_map(|v| CarbonTrace::from_hourly(v).expect("non-negative values"))
+}
+
 /// The trace's hourly samples over `[start, start + horizon)`, one per
 /// slot the window overlaps: the input of [`oracle_quantile`].
 fn window_samples(trace: &CarbonTrace, start: SimTime, horizon: Minutes) -> Vec<f64> {
@@ -75,6 +187,82 @@ fn window_slots(
     HourlySlots::spanning(start, horizon)
         .map(|s| (s.start, s.overlap, trace.intensity_at_hour(s.hour)))
         .collect()
+}
+
+proptest! {
+    /// The batched scan yields exactly `window_integral(start + k·step,
+    /// len)`, and both equal the pre-scan integral, for zero lengths,
+    /// spans longer than the period, steps that do not divide an hour
+    /// and steps of an hour or more.
+    #[test]
+    fn window_scan_is_bit_equal_to_window_integral(
+        trace in short_trace_strategy(),
+        start in 0u64..20_000,
+        step in prop_oneof![1u64..60, 60u64..200, Just(10u64), Just(60u64), Just(7u64)],
+        len in prop_oneof![Just(0u64), 1u64..60, 0u64..10_000],
+        count in 0u64..40,
+    ) {
+        assert_scan_matches(
+            &trace,
+            SimTime::from_minutes(start),
+            Minutes::new(step),
+            Minutes::new(len),
+            count,
+        );
+    }
+
+    /// `min_window_start`, now served by the scan, picks the same start
+    /// and average as its per-candidate loop.
+    #[test]
+    fn min_window_start_matches_per_candidate_loop(
+        trace in short_trace_strategy(),
+        start in 0u64..20_000,
+        horizon in 1u64..3_000,
+        window in 1u64..3_000,
+        step in 1u64..200,
+    ) {
+        let start = SimTime::from_minutes(start);
+        let (horizon, window, step) = (Minutes::new(horizon), Minutes::new(window), Minutes::new(step));
+        let (t, avg) = trace.min_window_start(start, horizon, window, step);
+        let (want_t, want_avg) = oracle_min_window_start(&trace, start, horizon, window, step);
+        prop_assert_eq!(t, want_t);
+        prop_assert_eq!(avg.to_bits(), want_avg.to_bits());
+    }
+
+    /// Every view backend's batched scan equals its own per-candidate
+    /// integral: the indexed perfect view, the boxed perfect query and
+    /// the memoized noisy and persistence queries.
+    #[test]
+    fn view_scans_are_bit_equal_to_per_candidate_integrals(
+        trace in trace_strategy(),
+        now in 0u64..20_000,
+        step in 1u64..120,
+        len in 0u64..3_000,
+        count in 0u64..30,
+        seed in 0u64..1_000,
+    ) {
+        let now = SimTime::from_minutes(now);
+        let (step, len) = (Minutes::new(step), Minutes::new(len));
+        let perfect = PerfectForecaster::new(&trace);
+        let noisy = NoisyForecaster::new(&trace, 0.3, seed);
+        let persistence = PersistenceForecaster::new(&trace);
+        let forecasters: [&dyn CarbonForecaster; 3] = [&perfect, &noisy, &persistence];
+        for f in forecasters {
+            let view = ForecastView::new(f, now);
+            let mut scanned = Vec::new();
+            view.scan_integrals(now, step, len, count, |v| scanned.push(v));
+            let boxed = f.query(now);
+            let mut boxed_scanned = Vec::new();
+            boxed.scan_integrals(now, step, len, count, &mut |v| boxed_scanned.push(v));
+            prop_assert_eq!(scanned.len() as u64, count);
+            prop_assert_eq!(boxed_scanned.len() as u64, count);
+            for (k, (&a, &b)) in scanned.iter().zip(&boxed_scanned).enumerate() {
+                let want = view.integral(now + step * k as u64, len);
+                prop_assert_eq!(a.to_bits(), want.to_bits());
+                prop_assert_eq!(b.to_bits(), want.to_bits());
+            }
+        }
+    }
 }
 
 proptest! {
@@ -249,6 +437,48 @@ proptest! {
 /// start at partial-hour offsets deep in the period and wrap its end.
 fn year_trace() -> CarbonTrace {
     synthesize_region(Region::SouthAustralia, 42)
+}
+
+#[test]
+fn window_scan_matches_oracle_on_a_year_trace() {
+    let trace = year_trace();
+    let year = 8760 * 60;
+    for start in [
+        0u64,
+        7,
+        59,
+        60,
+        3_601,
+        year - 90,
+        year - 1,
+        year + 30,
+        3 * year + 11,
+    ] {
+        for step in [1u64, 7, 10, 45, 60, 61, 90, 1_440] {
+            for len in [
+                0u64,
+                1,
+                30,
+                59,
+                60,
+                61,
+                150,
+                1_440,
+                4_321,
+                year,
+                year + 61,
+                2 * year + 7,
+            ] {
+                assert_scan_matches(
+                    &trace,
+                    SimTime::from_minutes(start),
+                    Minutes::new(step),
+                    Minutes::new(len),
+                    20,
+                );
+            }
+        }
+    }
 }
 
 #[test]

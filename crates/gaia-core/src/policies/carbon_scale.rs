@@ -2,9 +2,12 @@
 //! forecast, after CarbonScaler (Hanafy et al., SoCC '23): run wider in
 //! green hours, narrower or not at all in dirty ones.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use gaia_sim::{Decision, ElasticPlan, ElasticSegment, SchedulerContext};
 use gaia_time::{Minutes, SimTime};
-use gaia_workload::elastic::ElasticProfile;
+use gaia_workload::elastic::{ElasticProfile, SpeedupLadder};
 use gaia_workload::{Job, QueueSet};
 
 use super::BatchPolicy;
@@ -77,60 +80,48 @@ impl CarbonScale {
     /// Greedy marginal allocation over hourly slots; see the type docs.
     fn plan(&self, job: &Job, ctx: &SchedulerContext<'_>) -> ElasticPlan {
         let ladder = self.profile.ladder();
-        let max_width = self.profile.max_width();
         let horizon = job.length + self.queues.max_wait_for(job);
         let need_milli = job.length.as_minutes() * 1000;
 
-        // Slot grid anchored at `now`; the tail slot may be partial.
-        let mut slots: Vec<(SimTime, Minutes, f64)> = Vec::new();
-        let mut t = ctx.now;
-        let end = ctx.now + horizon;
-        while t < end {
-            let len = SLOT.min(end.saturating_since(t));
-            slots.push((t, len, ctx.forecast.integral(t, len)));
-            t += len;
+        // Slot grid anchored at `now`: full hourly slots priced by one
+        // scan, then the partial tail slot, if any.
+        let full = horizon.as_minutes() / SLOT.as_minutes();
+        let tail = horizon - SLOT * full;
+        let slots = full as usize + usize::from(!tail.is_zero());
+        let slot = |i: usize| {
+            let len = if (i as u64) < full { SLOT } else { tail };
+            (ctx.now + SLOT * i as u64, len)
+        };
+        let mut integrals = Vec::with_capacity(slots);
+        ctx.forecast
+            .scan_integrals(ctx.now, SLOT, SLOT, full, |v| integrals.push(v));
+        if !tail.is_zero() {
+            integrals.push(ctx.forecast.integral(slot(full as usize).0, tail));
         }
-        let mut widths = vec![0u32; slots.len()];
-
-        // Cheapest-increment loop. `CI / marginal` is independent of the
-        // slot length (carbon and work both scale with it), so the
-        // integral serves directly as the carbon price and
-        // `marginal × len` as the work bought. Ties break toward the
-        // earliest slot, keeping the plan deterministic.
-        let mut covered: u64 = 0;
-        while covered < need_milli {
-            let mut best: Option<(f64, usize)> = None;
-            for (i, &(_, _, integral)) in slots.iter().enumerate() {
-                if widths[i] >= max_width {
-                    continue;
-                }
-                let marginal = ladder.marginal_milli(widths[i] + 1);
-                if marginal == 0 {
-                    continue;
-                }
-                let price = integral / f64::from(marginal);
-                if best.is_none_or(|(b, _)| price.total_cmp(&b).is_lt()) {
-                    best = Some((price, i));
-                }
-            }
-            // The width-1 horizon alone covers `J + W ≥ J`, so an
-            // increment always exists before the budget is met.
-            let (_, i) = best.expect("work budget exceeds elastic capacity");
-            widths[i] += 1;
-            covered += u64::from(ladder.marginal_milli(widths[i])) * slots[i].1.as_minutes();
-        }
+        let (widths, covered) = allocate(
+            &integrals,
+            |i| slot(i).1.as_minutes(),
+            ladder,
+            self.profile.max_width(),
+            need_milli,
+        );
 
         // Trim the surplus off the latest used slots: shrink (or drop)
         // from the back while coverage holds, so completion time never
         // pays for work the greedy pass over-bought.
-        let mut used: Vec<(SimTime, Minutes, u32)> = slots
-            .iter()
-            .zip(&widths)
-            .filter(|(_, &w)| w > 0)
-            .map(|(&(start, len, _), &w)| (start, len, w))
-            .collect();
+        let mut used: Vec<(SimTime, Minutes, u32)> = Vec::with_capacity(slots);
+        used.extend(
+            widths
+                .iter()
+                .enumerate()
+                .filter(|(_, &w)| w > 0)
+                .map(|(i, &w)| {
+                    let (start, len) = slot(i);
+                    (start, len, w)
+                }),
+        );
         let mut excess = covered - need_milli;
-        while let Some(&(start, len, width)) = used.last() {
+        while let Some(&(_, len, width)) = used.last() {
             let speedup = u64::from(ladder.speedup_milli(width));
             let slot_work = speedup * len.as_minutes();
             if slot_work <= excess {
@@ -143,14 +134,13 @@ impl CarbonScale {
                     last.1 = len.saturating_sub(Minutes::new(spare_minutes));
                     debug_assert!(!last.1.is_zero());
                 }
-                let _ = (start, width);
                 break;
             }
         }
 
         // Merge wall-adjacent equal-width slots so the engine sees one
         // slice (and one width change) per sustained width.
-        let mut segments: Vec<ElasticSegment> = Vec::new();
+        let mut segments: Vec<ElasticSegment> = Vec::with_capacity(used.len());
         for (start, len, width) in used {
             let work_milli = u64::from(ladder.speedup_milli(width)) * len.as_minutes();
             match segments.last_mut() {
@@ -170,6 +160,79 @@ impl CarbonScale {
     }
 }
 
+/// One width increment on offer: the next worker of `slot`, at `price`
+/// per unit of work. Ordered so a [`BinaryHeap`] pops the cheapest
+/// price first (under [`f64::total_cmp`]) and, among equal prices, the
+/// earliest slot.
+#[derive(Debug, Clone, Copy)]
+struct Increment {
+    price: f64,
+    slot: usize,
+}
+
+impl Ord for Increment {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .price
+            .total_cmp(&self.price)
+            .then(other.slot.cmp(&self.slot))
+    }
+}
+
+impl PartialOrd for Increment {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Increment {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Increment {}
+
+/// The cheapest-increment greedy: returns each slot's width and the
+/// milli-minutes of work they cover (at least `need_milli`).
+///
+/// Slot `i` has carbon price `integrals[i]` at width 1 and is
+/// `len_of(i)` wall minutes long. `CI / marginal` is independent of the
+/// slot length (carbon and work both scale with it), so the integral
+/// divided by the next worker's marginal serves directly as that
+/// increment's price, and `marginal × len` as the work it buys. A
+/// min-heap holds each slot's next increment; it pops the lowest price
+/// first and, on a tie, the earliest slot, keeping the plan
+/// deterministic.
+fn allocate(
+    integrals: &[f64],
+    len_of: impl Fn(usize) -> u64,
+    ladder: &SpeedupLadder,
+    max_width: u32,
+    need_milli: u64,
+) -> (Vec<u32>, u64) {
+    let offer = |slot: usize, width: u32| {
+        let marginal = ladder.marginal_milli(width + 1);
+        (width < max_width && marginal > 0).then(|| Increment {
+            price: integrals[slot] / f64::from(marginal),
+            slot,
+        })
+    };
+    let mut widths = vec![0u32; integrals.len()];
+    let mut heap: BinaryHeap<Increment> =
+        (0..integrals.len()).filter_map(|i| offer(i, 0)).collect();
+    let mut covered: u64 = 0;
+    while covered < need_milli {
+        // The width-1 horizon alone covers `J + W ≥ J`, so an increment
+        // always exists before the budget is met.
+        let Increment { slot: i, .. } = heap.pop().expect("work budget exceeds elastic capacity");
+        widths[i] += 1;
+        covered += u64::from(ladder.marginal_milli(widths[i])) * len_of(i);
+        heap.extend(offer(i, widths[i]));
+    }
+    (widths, covered)
+}
+
 impl BatchPolicy for CarbonScale {
     fn decide(&mut self, job: &Job, ctx: &SchedulerContext<'_>) -> Decision {
         Decision::run_elastic(self.plan(job, ctx))
@@ -185,9 +248,79 @@ mod tests {
     use super::super::testutil::{job, CtxFactory};
     use super::*;
     use gaia_workload::elastic::ScalingCurve;
+    use proptest::prelude::*;
 
     fn policy() -> CarbonScale {
         CarbonScale::new(QueueSet::paper_defaults())
+    }
+
+    /// The greedy the heap replaced: rescan every slot for the cheapest
+    /// increment, earliest slot on a tie.
+    fn allocate_linear(
+        integrals: &[f64],
+        len_of: impl Fn(usize) -> u64,
+        ladder: &SpeedupLadder,
+        max_width: u32,
+        need_milli: u64,
+    ) -> (Vec<u32>, u64) {
+        let mut widths = vec![0u32; integrals.len()];
+        let mut covered: u64 = 0;
+        while covered < need_milli {
+            let mut best: Option<(f64, usize)> = None;
+            for (i, &integral) in integrals.iter().enumerate() {
+                if widths[i] >= max_width {
+                    continue;
+                }
+                let marginal = ladder.marginal_milli(widths[i] + 1);
+                if marginal == 0 {
+                    continue;
+                }
+                let price = integral / f64::from(marginal);
+                if best.is_none_or(|(b, _)| price.total_cmp(&b).is_lt()) {
+                    best = Some((price, i));
+                }
+            }
+            let (_, i) = best.expect("work budget exceeds elastic capacity");
+            widths[i] += 1;
+            covered += u64::from(ladder.marginal_milli(widths[i])) * len_of(i);
+        }
+        (widths, covered)
+    }
+
+    proptest! {
+        /// The heap makes the linear scan's picks for random ladders
+        /// (zero marginals included), widths 1–8, jobs up to 72 h and
+        /// slot prices with frequent ties.
+        #[test]
+        fn heap_greedy_matches_linear_scan(
+            gains in prop::collection::vec(prop_oneof![Just(0u32), 0u32..1001], 0..8),
+            max_width in 1u32..9,
+            job_min in 1u64..(72 * 60 + 1),
+            long_wait in 0u8..2,
+            prices in prop::collection::vec(
+                prop_oneof![Just(0.0f64), Just(120.0), Just(300.5), 1.0f64..900.0],
+                100..101,
+            ),
+        ) {
+            let mut gains = gains;
+            gains.sort_unstable_by(|a, b| b.cmp(a));
+            let mut milli = vec![1000u32];
+            for g in gains {
+                milli.push(milli[milli.len() - 1] + g);
+            }
+            let profile = ElasticProfile::new(ScalingCurve::table(milli), max_width);
+            let wait = if long_wait == 1 { 24 * 60 } else { 6 * 60 };
+            let horizon = job_min + wait;
+            let (full, tail) = (horizon / 60, horizon % 60);
+            let slots = (full + u64::from(tail > 0)) as usize;
+            let integrals: Vec<f64> = (0..slots).map(|i| prices[i % prices.len()]).collect();
+            let len_of = |i: usize| if (i as u64) < full { 60 } else { tail };
+            let need = job_min * 1000;
+            let heap = allocate(&integrals, len_of, profile.ladder(), profile.max_width(), need);
+            let linear =
+                allocate_linear(&integrals, len_of, profile.ladder(), profile.max_width(), need);
+            prop_assert_eq!(heap, linear);
+        }
     }
 
     fn total_work(plan: &ElasticPlan) -> u64 {

@@ -6,7 +6,7 @@ use gaia_sim::{Decision, SchedulerContext};
 use gaia_time::Minutes;
 use gaia_workload::{Job, QueueSet};
 
-use super::{best_start_by, BatchPolicy, DEFAULT_SCAN_STEP};
+use super::{best_start, BatchPolicy, Signal, DEFAULT_SCAN_STEP};
 use crate::JobLengthKnowledge;
 
 /// Monetizes the three-way trade-off: each candidate start time is scored
@@ -73,13 +73,19 @@ impl BatchPolicy for CarbonTax {
         let estimate = self.knowledge.estimate(job, &self.queues);
         let now = ctx.now;
         let cpus = job.cpus as f64;
-        let start = best_start_by(now, wait, self.step, |t| {
-            // Forecast integral is (g/kWh)·h; at the simulator's 1 kW per
-            // CPU this is grams per CPU, so scale by CPUs and g->kg.
-            let carbon_kg = ctx.forecast.integral(t, estimate) * cpus / 1000.0;
-            let delay_cost = self.delay_value_per_hour * (t - now).as_hours_f64();
-            -(self.tax_per_kg * carbon_kg + delay_cost)
-        });
+        let start = best_start(
+            ctx,
+            wait,
+            self.step,
+            Signal::Integral(estimate),
+            |t, integral| {
+                // Forecast integral is (g/kWh)·h; at the simulator's 1 kW per
+                // CPU this is grams per CPU, so scale by CPUs and g->kg.
+                let carbon_kg = integral * cpus / 1000.0;
+                let delay_cost = self.delay_value_per_hour * (t - now).as_hours_f64();
+                -(self.tax_per_kg * carbon_kg + delay_cost)
+            },
+        );
         Decision::run_at(start)
     }
 
@@ -165,6 +171,22 @@ mod tests {
         let d_wide = factory.with_ctx(SimTime::ORIGIN, 0, 0, |ctx| policy.decide(&wide, ctx));
         assert_eq!(d_narrow.planned_start(), SimTime::ORIGIN);
         assert_eq!(d_wide.planned_start(), SimTime::from_hours(4));
+    }
+
+    /// Under a forecast outage the scan coarsens to whole hours: the
+    /// 10-minute grid finds a start mid-hour, the degraded one cannot.
+    #[test]
+    fn degraded_mode_scans_whole_hours() {
+        // Free delay: a 90-minute window fits best at 2:30, over the
+        // back half of hour 2 and all of hour 3.
+        let factory = CtxFactory::new(&[500.0, 500.0, 100.0, 50.0, 500.0, 500.0, 500.0, 500.0]);
+        let mut policy = CarbonTax::new(QueueSet::paper_defaults(), 1.0, 0.0)
+            .with_knowledge(JobLengthKnowledge::Exact);
+        let j = job(0, 90, 1);
+        let fine = factory.with_ctx(SimTime::ORIGIN, 0, 0, |ctx| policy.decide(&j, ctx));
+        assert_eq!(fine.planned_start(), SimTime::from_minutes(150));
+        let coarse = factory.with_degraded_ctx(SimTime::ORIGIN, |ctx| policy.decide(&j, ctx));
+        assert_eq!(coarse.planned_start(), SimTime::from_hours(2));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use gaia_sim::{Decision, SchedulerContext};
 use gaia_time::Minutes;
 use gaia_workload::{Job, QueueSet};
 
-use super::{best_start_by, effective_scan_step, BatchPolicy, DEFAULT_SCAN_STEP};
+use super::{best_start, BatchPolicy, Signal, DEFAULT_SCAN_STEP};
 use crate::JobLengthKnowledge;
 
 /// Maximizes the **Carbon Saving per Completion Time** (CST):
@@ -65,12 +65,17 @@ impl BatchPolicy for CarbonTime {
         let estimate = self.knowledge.estimate(job, &self.queues);
         let immediate_footprint = ctx.forecast.integral(ctx.now, estimate);
         let now = ctx.now;
-        let step = effective_scan_step(self.step, ctx);
-        let start = best_start_by(now, wait, step, |t| {
-            let saving = immediate_footprint - ctx.forecast.integral(t, estimate);
-            let completion_hours = (t - now + estimate).as_hours_f64();
-            saving / completion_hours
-        });
+        let start = best_start(
+            ctx,
+            wait,
+            self.step,
+            Signal::Integral(estimate),
+            |t, integral| {
+                let saving = immediate_footprint - integral;
+                let completion_hours = (t - now + estimate).as_hours_f64();
+                saving / completion_hours
+            },
+        );
         Decision::run_at(start)
     }
 

@@ -4,7 +4,7 @@ use gaia_sim::{Decision, SchedulerContext};
 use gaia_time::Minutes;
 use gaia_workload::{Job, QueueSet};
 
-use super::{best_start_by, effective_scan_step, BatchPolicy, DEFAULT_SCAN_STEP};
+use super::{best_start, BatchPolicy, Signal, DEFAULT_SCAN_STEP};
 
 /// Starts each job at the single lowest-carbon-intensity slot within its
 /// waiting window `[t, t + W)` — without knowing anything about the job's
@@ -43,9 +43,8 @@ impl LowestSlot {
 impl BatchPolicy for LowestSlot {
     fn decide(&mut self, job: &Job, ctx: &SchedulerContext<'_>) -> Decision {
         let wait = self.queues.max_wait_for(job);
-        let step = effective_scan_step(self.step, ctx);
         // Minimize the CI of the starting instant (maximize its negation).
-        let start = best_start_by(ctx.now, wait, step, |t| -ctx.forecast.at(t));
+        let start = best_start(ctx, wait, self.step, Signal::Intensity, |_, ci| -ci);
         Decision::run_at(start)
     }
 

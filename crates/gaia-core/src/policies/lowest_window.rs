@@ -4,7 +4,7 @@ use gaia_sim::{Decision, SchedulerContext};
 use gaia_time::Minutes;
 use gaia_workload::{Job, QueueSet};
 
-use super::{best_start_by, effective_scan_step, BatchPolicy, DEFAULT_SCAN_STEP};
+use super::{best_start, BatchPolicy, Signal, DEFAULT_SCAN_STEP};
 use crate::JobLengthKnowledge;
 
 /// Starts each job at the beginning of the `J`-long window with the
@@ -59,8 +59,13 @@ impl BatchPolicy for LowestWindow {
     fn decide(&mut self, job: &Job, ctx: &SchedulerContext<'_>) -> Decision {
         let wait = self.queues.max_wait_for(job);
         let estimate = self.knowledge.estimate(job, &self.queues);
-        let step = effective_scan_step(self.step, ctx);
-        let start = best_start_by(ctx.now, wait, step, |t| -ctx.forecast.integral(t, estimate));
+        let start = best_start(
+            ctx,
+            wait,
+            self.step,
+            Signal::Integral(estimate),
+            |_, integral| -integral,
+        );
         Decision::run_at(start)
     }
 

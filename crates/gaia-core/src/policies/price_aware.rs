@@ -8,7 +8,7 @@ use gaia_sim::{Decision, SchedulerContext};
 use gaia_time::{HourlySlots, Minutes, SimTime};
 use gaia_workload::{Job, QueueSet};
 
-use super::{best_start_by, BatchPolicy, DEFAULT_SCAN_STEP};
+use super::{best_start, BatchPolicy, Signal, DEFAULT_SCAN_STEP};
 use crate::JobLengthKnowledge;
 
 /// Schedules each job into the window minimizing a weighted blend of
@@ -85,11 +85,17 @@ impl BatchPolicy for PriceAware {
         let wait = self.queues.max_wait_for(job);
         let estimate = self.knowledge.estimate(job, &self.queues);
         let hours = estimate.as_hours_f64();
-        let start = best_start_by(ctx.now, wait, self.step, |t| {
-            let price_term = self.price_integral(t, estimate) / (self.mean_price * hours);
-            let carbon_term = ctx.forecast.integral(t, estimate) / (self.mean_carbon * hours);
-            -((1.0 - self.carbon_weight) * price_term + self.carbon_weight * carbon_term)
-        });
+        let start = best_start(
+            ctx,
+            wait,
+            self.step,
+            Signal::Integral(estimate),
+            |t, carbon| {
+                let price_term = self.price_integral(t, estimate) / (self.mean_price * hours);
+                let carbon_term = carbon / (self.mean_carbon * hours);
+                -((1.0 - self.carbon_weight) * price_term + self.carbon_weight * carbon_term)
+            },
+        );
         Decision::run_at(start)
     }
 
@@ -163,6 +169,23 @@ mod tests {
         };
         assert_eq!(run(0.1), SimTime::from_hours(2), "mostly price-driven");
         assert_eq!(run(0.9), SimTime::from_hours(5), "mostly carbon-driven");
+    }
+
+    /// Under a forecast outage the scan coarsens to whole hours: the
+    /// 10-minute grid finds a start mid-hour, the degraded one cannot.
+    #[test]
+    fn degraded_mode_scans_whole_hours() {
+        // Pure carbon weight: a 90-minute window fits best at 2:30, over
+        // the back half of hour 2 and all of hour 3.
+        let carbon = CtxFactory::new(&[500.0, 500.0, 100.0, 50.0, 500.0, 500.0, 500.0, 500.0]);
+        let price = PriceTrace::from_hourly(vec![80.0; 8]);
+        let mut policy = PriceAware::new(QueueSet::paper_defaults(), price, 1.0, 350.0)
+            .with_knowledge(JobLengthKnowledge::Exact);
+        let j = job(0, 90, 1);
+        let fine = carbon.with_ctx(SimTime::ORIGIN, 0, 0, |ctx| policy.decide(&j, ctx));
+        assert_eq!(fine.planned_start(), SimTime::from_minutes(150));
+        let coarse = carbon.with_degraded_ctx(SimTime::ORIGIN, |ctx| policy.decide(&j, ctx));
+        assert_eq!(coarse.planned_start(), SimTime::from_hours(2));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use gaia_time::Minutes;
 use gaia_workload::ladder::QueueLadder;
 use gaia_workload::Job;
 
-use super::{best_start_by, BatchPolicy, DEFAULT_SCAN_STEP};
+use super::{best_start, BatchPolicy, Signal, DEFAULT_SCAN_STEP};
 
 /// Carbon-Time over an arbitrary queue ladder: each rung contributes its
 /// own waiting bound `W_i` and historical average `J_avg,i`, and the CST
@@ -57,10 +57,16 @@ impl BatchPolicy for TieredCarbonTime {
         let estimate = self.ladder.avg_length(rung);
         let immediate = ctx.forecast.integral(ctx.now, estimate);
         let now = ctx.now;
-        let start = best_start_by(now, wait, self.step, |t| {
-            let saving = immediate - ctx.forecast.integral(t, estimate);
-            saving / (t - now + estimate).as_hours_f64()
-        });
+        let start = best_start(
+            ctx,
+            wait,
+            self.step,
+            Signal::Integral(estimate),
+            |t, integral| {
+                let saving = immediate - integral;
+                saving / (t - now + estimate).as_hours_f64()
+            },
+        );
         Decision::run_at(start)
     }
 
@@ -136,6 +142,24 @@ mod tests {
             let b = factory.with_ctx(SimTime::ORIGIN, 0, 0, |ctx| flat.decide(&j, ctx));
             assert_eq!(a.planned_start(), b.planned_start(), "len {len}");
         }
+    }
+
+    /// Under a forecast outage the scan coarsens to whole hours: the
+    /// 10-minute grid finds a start mid-hour, the degraded one cannot.
+    #[test]
+    fn degraded_mode_scans_whole_hours() {
+        // A 90-minute job saves carbon fastest starting at 1:30, over
+        // the back half of hour 1 and all of the hour-2 valley.
+        let factory = CtxFactory::new(&[500.0, 300.0, 10.0, 500.0, 500.0, 500.0, 500.0, 500.0]);
+        let jobs: Vec<gaia_workload::Job> = [90u64].iter().map(|&len| job(0, len, 1)).collect();
+        let ladder =
+            QueueLadder::paper_three_tier().with_averages_from(&WorkloadTrace::from_jobs(jobs));
+        let mut policy = TieredCarbonTime::new(ladder);
+        let j = job(0, 90, 1);
+        let fine = factory.with_ctx(SimTime::ORIGIN, 0, 0, |ctx| policy.decide(&j, ctx));
+        assert_eq!(fine.planned_start(), SimTime::from_minutes(90));
+        let coarse = factory.with_degraded_ctx(SimTime::ORIGIN, |ctx| policy.decide(&j, ctx));
+        assert_eq!(coarse.planned_start(), SimTime::from_hours(1));
     }
 
     #[test]

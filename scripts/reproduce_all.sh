@@ -14,14 +14,7 @@ WORKERS="${WORKERS:-$(nproc 2>/dev/null || echo 1)}"
 cargo build --release -p bench -p gaia-cli
 
 mkdir -p results
-targets=(
-  figure01 figure02 figure03 figure04 figure05 figure06 figure07 table1
-  figure08 figure09 figure10 figure11 figure12 figure13 figure14 figure15
-  figure16 figure17 figure18 figure19 figure20
-  ablations sensitivity robustness policy_space
-  ext_suspend_resume ext_carbon_tax ext_checkpointing ext_overheads
-  ext_spatial ext_price ext_capacity_cap ext_multiqueue
-)
+source scripts/results_targets.sh
 for target in "${targets[@]}"; do
   echo "== ${target} (workers: ${WORKERS})"
   GAIA_WORKERS="${WORKERS}" ./target/release/"${target}" > "results/${target}.txt"
