@@ -18,9 +18,8 @@
 
 use gaia_carbon::{CarbonTrace, PerfectForecaster, Region};
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
-use gaia_obs::JsonlSink;
 use gaia_sim::oracle::OracleEngine;
-use gaia_sim::{ClusterConfig, EvictionModel, OnlineEngine, SimReport};
+use gaia_sim::{ClusterConfig, EvictionModel, JsonlSink, OnlineEngine, SimReport};
 use gaia_time::{Minutes, SimTime};
 use gaia_workload::synth::TraceFamily;
 use gaia_workload::{Job, JobId, QueueSet, WorkloadTrace};

@@ -208,27 +208,52 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for NaiveQuery<'_, F> {
     }
 
     fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
-        let mut samples = self.scratch.borrow_mut();
-        samples.clear();
-        samples.extend(HourlySlots::spanning(self.now, horizon).map(|s| self.at(s.start)));
-        let idx = quantile_rank(samples.len() as u64, q) as usize;
-        // NaN forecasts sort above every real value (`total_cmp`), so a
-        // perturbed forecaster degrades the answer instead of panicking.
-        let (_, nth, _) = samples.select_nth_unstable_by(idx, f64::total_cmp);
-        *nth
+        slots_quantile(&self.scratch, self.now, horizon, q, |s| self.at(s.start))
     }
 
     fn greenest_slots(&self, horizon: Minutes, need: Minutes) -> Vec<(SimTime, Minutes)> {
-        assert!(need <= horizon, "cannot fit {need} of work into {horizon}");
-        let slots = HourlySlots::spanning(self.now, horizon)
-            .map(|s| SlotCand {
-                start: s.start,
-                avail: s.overlap,
-                ci: self.at(s.start),
-            })
-            .collect();
-        select_greenest(slots, need)
+        slots_greenest(self.now, horizon, need, |s| self.at(s.start))
     }
+}
+
+/// The nearest-rank `q`-quantile of `value` over the hourly slots of
+/// `[now, now + horizon)`, gathered in `scratch`. [`NaiveQuery`] and
+/// [`MemoQuery`] share this body; they differ only in `value`.
+fn slots_quantile(
+    scratch: &RefCell<Vec<f64>>,
+    now: SimTime,
+    horizon: Minutes,
+    q: f64,
+    value: impl FnMut(SlotSpan) -> f64,
+) -> GramsPerKwh {
+    let mut samples = scratch.borrow_mut();
+    samples.clear();
+    samples.extend(HourlySlots::spanning(now, horizon).map(value));
+    let idx = quantile_rank(samples.len() as u64, q) as usize;
+    // NaN forecasts sort above every real value (`total_cmp`), so a
+    // perturbed forecaster degrades the answer instead of panicking.
+    let (_, nth, _) = samples.select_nth_unstable_by(idx, f64::total_cmp);
+    *nth
+}
+
+/// The greenest-slot plan over the hourly slots of `[now, now +
+/// horizon)`, each slot's CI read from `value`; shared like
+/// [`slots_quantile`].
+fn slots_greenest(
+    now: SimTime,
+    horizon: Minutes,
+    need: Minutes,
+    mut value: impl FnMut(SlotSpan) -> f64,
+) -> Vec<(SimTime, Minutes)> {
+    assert!(need <= horizon, "cannot fit {need} of work into {horizon}");
+    let slots = HourlySlots::spanning(now, horizon)
+        .map(|s| SlotCand {
+            start: s.start,
+            avail: s.overlap,
+            ci: value(s),
+        })
+        .collect();
+    select_greenest(slots, need)
 }
 
 /// The [`PerfectForecaster`] query: served from its [`ForecastIndex`].
@@ -424,24 +449,11 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for MemoQuery<'_, F> {
     }
 
     fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
-        let mut samples = self.scratch.borrow_mut();
-        samples.clear();
-        samples.extend(HourlySlots::spanning(self.now, horizon).map(|s| self.slot_value(s)));
-        let idx = quantile_rank(samples.len() as u64, q) as usize;
-        let (_, nth, _) = samples.select_nth_unstable_by(idx, f64::total_cmp);
-        *nth
+        slots_quantile(&self.scratch, self.now, horizon, q, |s| self.slot_value(s))
     }
 
     fn greenest_slots(&self, horizon: Minutes, need: Minutes) -> Vec<(SimTime, Minutes)> {
-        assert!(need <= horizon, "cannot fit {need} of work into {horizon}");
-        let slots = HourlySlots::spanning(self.now, horizon)
-            .map(|s| SlotCand {
-                start: s.start,
-                avail: s.overlap,
-                ci: self.slot_value(s),
-            })
-            .collect();
-        select_greenest(slots, need)
+        slots_greenest(self.now, horizon, need, |s| self.slot_value(s))
     }
 }
 

@@ -21,8 +21,8 @@
 //! acquisition. The wall clock is read once per request (on the first
 //! emit after a sync), not per event. Per-event cost is therefore a
 //! `Vec` push of a 5-word struct; the lock and the clock are amortized
-//! across the whole request. `telemetry_overhead` (wired into
-//! `scripts/bench_obs.sh`) holds this to ≤2% of serving throughput.
+//! across the whole request. Once the buffer has grown to a request's
+//! size, recording allocates nothing (`gaia-serve/tests/alloc.rs`).
 //!
 //! The ring itself is a mutex-guarded `Vec`, not a lock-free structure:
 //! frames are multi-word records, `gaia-obs` forbids `unsafe`, and the

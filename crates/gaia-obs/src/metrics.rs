@@ -158,15 +158,21 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
+        let mut last_non_empty = None;
         for (i, bucket) in self.buckets.iter().enumerate() {
-            seen += bucket.load(Ordering::Relaxed);
+            let n = bucket.load(Ordering::Relaxed);
+            if n > 0 {
+                last_non_empty = Some(i);
+            }
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return bucket_upper_micro(i);
             }
         }
-        // Concurrent observers can make `count` read ahead of the
-        // buckets; answer with the last non-empty bucket's bound.
-        bucket_upper_micro(HISTOGRAM_BUCKETS - 1)
+        // `count` ran ahead of the buckets (racing observers, or
+        // inconsistent `merge_raw` input): answer with the last
+        // non-empty bucket's bound.
+        last_non_empty.map_or(0, bucket_upper_micro)
     }
 
     /// The `q`-quantile in units; see [`Histogram::quantile_micros`].
@@ -360,6 +366,20 @@ mod tests {
         b.add(2);
         assert_eq!(reg.counter("sweep.cells").get(), 3);
         assert_eq!(reg.counter("sweep.other").get(), 0);
+    }
+
+    #[test]
+    fn quantile_past_the_buckets_reads_the_last_non_empty_bound() {
+        // `count` ahead of the buckets, as a racing observer or an
+        // inconsistent `merge_raw` leaves it.
+        let h = Histogram::new();
+        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+        buckets[3] = 1;
+        h.merge_raw(&buckets, 5, 8);
+        assert_eq!(h.quantile_micros(1.0), bucket_upper_micro(3));
+        let empty = Histogram::new();
+        empty.merge_raw(&[], 2, 0);
+        assert_eq!(empty.quantile_micros(0.5), 0);
     }
 
     #[test]

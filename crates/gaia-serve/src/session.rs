@@ -22,7 +22,9 @@ use std::time::Instant;
 
 use gaia_core::catalog::{DynScheduler, PolicySpec};
 use gaia_obs::{Event as ObsEvent, Sink};
-use gaia_sim::{CancelOutcome, JobStatus, OnlineEngine};
+use gaia_sim::{
+    stagger_capacity, stagger_reserve, CancelOutcome, JobStatus, OnlineEngine, STAGGER_RUNGS,
+};
 use gaia_time::{Minutes, SimTime};
 use gaia_workload::{Job, JobId, QueueSet};
 
@@ -96,17 +98,7 @@ impl<'e, S: Sink> Session<'e, S> {
     /// decision-stateless (every catalog policy is): the scheduler is
     /// rebuilt, not serialized, on restore.
     pub fn new(engine: OnlineEngine<'e, S>, policy: PolicySpec) -> Self {
-        Session {
-            engine,
-            scheduler: policy.build(QueueSet::paper_defaults()),
-            policy,
-            tenants: Vec::new(),
-            job_tenant: Vec::new(),
-            snapshots: 0,
-            telemetry: None,
-            tenant_tel: Vec::new(),
-            job_base: Vec::new(),
-        }
+        Session::from_parts(engine, policy, Vec::new(), Vec::new(), 0)
     }
 
     /// Attach the live telemetry hub. Latency is recorded per
@@ -148,17 +140,16 @@ impl<'e, S: Sink> Session<'e, S> {
     /// Pre-sizes the per-job state for `additional` more submissions.
     ///
     /// A provisioned service calls this once at boot with its expected
-    /// job volume: growth past the reservation stays amortized-doubling
-    /// (the engine keeps column capacities pairwise distinct), but
-    /// nothing inside the reservation ever pays a reallocation inside
-    /// a submit — the tail-latency bound `serve_bench` gates on.
+    /// job volume: nothing inside the reservation ever pays a
+    /// reallocation inside a submit (`tests/alloc.rs` counts them), and
+    /// growth past it stays amortized-doubling on the staggered ladder.
     pub fn reserve_jobs(&mut self, additional: usize) {
         self.engine.reserve_jobs(additional);
-        self.job_tenant.reserve(additional);
         // Sized for every submission so far plus `additional`, so the
         // room survives `attach_telemetry` filling in the earlier jobs.
         let jobs = self.engine.submitted() as usize + additional;
-        self.job_base.reserve(jobs - self.job_base.len());
+        stagger_reserve(&mut self.job_tenant, STAGGER_RUNGS, jobs);
+        stagger_reserve(&mut self.job_base, STAGGER_RUNGS + 1, jobs);
     }
 
     /// Borrow the underlying engine.
@@ -510,13 +501,19 @@ impl<'e, S: Sink> Session<'e, S> {
         )
     }
 
+    /// A session over restored or fresh parts. Its two per-job columns
+    /// take the two rungs of the engine's [`stagger_capacity`] ladder
+    /// after the engine's own, so with or without telemetry at most one
+    /// per-job vector reallocates on any submit.
     pub(crate) fn from_parts(
         engine: OnlineEngine<'e, S>,
         policy: PolicySpec,
         tenants: Vec<TenantStats>,
-        job_tenant: Vec<u32>,
+        mut job_tenant: Vec<u32>,
         snapshots: u64,
     ) -> Self {
+        let jobs = job_tenant.len();
+        stagger_reserve(&mut job_tenant, STAGGER_RUNGS, jobs);
         Session {
             engine,
             scheduler: policy.build(QueueSet::paper_defaults()),
@@ -526,10 +523,13 @@ impl<'e, S: Sink> Session<'e, S> {
             snapshots,
             telemetry: None,
             tenant_tel: Vec::new(),
-            job_base: Vec::new(),
+            job_base: Vec::with_capacity(jobs + stagger_capacity(STAGGER_RUNGS + 1)),
         }
     }
 }
+
+// The session's rungs must stay in the ladder's octave.
+const _: () = assert!(stagger_capacity(STAGGER_RUNGS + 1) < 2 * stagger_capacity(0));
 
 impl<S: Sink> std::fmt::Debug for Session<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -194,8 +194,7 @@ impl<'a> Simulation<'a> {
     // One out-of-line copy per sink type: the engine runs for
     // milliseconds, so caller-side inlining buys nothing, and a single
     // copy keeps the NullSink path byte-identical between the untraced
-    // entry points and explicit `.sink(&mut NullSink)` callers (which
-    // the obs_overhead bench relies on).
+    // entry points and explicit `.sink(&mut NullSink)` callers.
     #[inline(never)]
     fn run_traced_inner<S: Sink>(
         &self,

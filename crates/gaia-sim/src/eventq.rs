@@ -23,14 +23,14 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use gaia_time::SimTime;
 
-use crate::online::Event;
+use crate::online::{stagger_capacity, Event};
 
-/// Capacity slack of the run and heap lanes: odd multiples of 64 past
-/// the per-job columns' `64·(17+2k)` ladder (`k` = 19 and 20), so the
-/// lanes' capacities stay distinct from each other's and every
-/// column's under doubling.
-const RUN_SLACK: usize = 64 * (17 + 2 * 19);
-const HEAP_SLACK: usize = 64 * (17 + 2 * 20);
+/// Spare capacity of the run and heap lanes: the two rungs of the
+/// [`stagger_capacity`] ladder past the per-job columns' (`k` = 19 and
+/// 20), so the lanes' capacities stay distinct from each other's and
+/// every column's under doubling.
+const RUN_SLACK: usize = stagger_capacity(19);
+const HEAP_SLACK: usize = stagger_capacity(20);
 
 /// The engine's pending events, ordered by `(time, prio, seq)`.
 pub(crate) struct EventQueue {

@@ -82,7 +82,9 @@ pub use gaia_fault::{FaultError, FaultPlan, FaultSchedule, FaultSpec};
 pub use gaia_obs::{
     Event as TraceEvent, JsonlSink, NullSink, Profiler, Sink, TraceSummary, VecSink,
 };
-pub use online::{CancelOutcome, JobStatus, OnlineEngine};
+pub use online::{
+    stagger_capacity, stagger_reserve, CancelOutcome, JobStatus, OnlineEngine, STAGGER_RUNGS,
+};
 pub use plan::{Decision, ElasticPlan, ElasticSegment, PurchaseOption, SegmentPlan};
 pub use pool::ReservedPool;
 pub use report::{AllocationTimeline, DegradationStats, SimReport, TransferStats};

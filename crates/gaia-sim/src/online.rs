@@ -353,6 +353,28 @@ impl<S: Sink> std::fmt::Debug for OnlineEngine<'_, S> {
     }
 }
 
+/// Spare capacity for growable per-job vector `k`: `64·(45+2k)`.
+/// Every rung the workspace uses (`k` ≤ 22) lies within one octave, the
+/// largest under twice the smallest, so two vectors of the same length,
+/// each given its own rung of spare room, never share a capacity under
+/// amortized doubling: vectors pushed in lockstep never reallocate on
+/// the same push. The engine's per-job columns and event-queue lanes
+/// take rungs `0..STAGGER_RUNGS`; a caller keeping its own per-job
+/// columns beside the engine takes rung [`STAGGER_RUNGS`] and up.
+pub const fn stagger_capacity(k: usize) -> usize {
+    64 * (45 + 2 * k)
+}
+
+/// Grows `v` to hold `len` entries plus its rung's spare room; a no-op
+/// when it already has that capacity.
+pub fn stagger_reserve<T>(v: &mut Vec<T>, k: usize, len: usize) {
+    v.reserve_exact((len + stagger_capacity(k)).saturating_sub(v.len()));
+}
+
+/// Rungs of the [`stagger_capacity`] ladder the engine occupies: 19
+/// per-job columns, then the event queue's run and heap lanes.
+pub const STAGGER_RUNGS: usize = 21;
+
 impl<'e, S: Sink> OnlineEngine<'e, S> {
     /// Creates an idle engine over the given cluster, carbon trace, and
     /// policy-visible forecaster. Accounting always uses `carbon`; the
@@ -476,15 +498,16 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
 
     /// Pre-sizes the per-job tables for `additional` more submissions.
     ///
-    /// Capacities are reserved at pairwise-distinct offsets (the same
-    /// 64·(17+2k) ladder as `stagger_columns`) so that
-    /// submissions *beyond* the reservation never resynchronize the
-    /// columns: amortized doubling keeps at most one column
-    /// reallocating on any given submit, which is what bounds the
-    /// serving path's worst-case `submit` latency.
+    /// Each per-job column gets room for `additional` more entries plus
+    /// its rung of [`stagger_capacity`] (`k` = 0..=18), and both
+    /// event-queue lanes the next two rungs, so past the reservation at
+    /// most one column reallocates on any given submit. The first submit
+    /// and [`OnlineEngine::restore`] call this with `additional = 0`, so
+    /// an engine that was never reserved is staggered too.
     pub fn reserve_jobs(&mut self, additional: usize) {
         fn seed<T>(v: &mut Vec<T>, additional: usize, k: usize) {
-            v.reserve_exact(additional + 64 * (17 + 2 * k));
+            let len = v.len() + additional;
+            stagger_reserve(v, k, len);
         }
         seed(&mut self.jobs, additional, 0);
         seed(&mut self.tag, additional, 1);
@@ -506,38 +529,6 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         seed(&mut self.seg_tail, additional, 17);
         seed(&mut self.seg_count, additional, 18);
         self.queue.reserve(additional);
-    }
-
-    /// Seeds every per-job column and both event-queue lanes with a
-    /// distinct initial capacity — an odd multiple of 64, so capacities
-    /// stay pairwise distinct under amortized doubling forever and at
-    /// most one of them reallocates on any given submit. Without this, every column doubles at the same
-    /// power-of-two submission and that submit pays one giant copy — the
-    /// tail-latency cliff `serve_bench` gates on (max / p99.9 ≤ 50×).
-    fn stagger_columns(&mut self) {
-        fn seed<T>(v: &mut Vec<T>, k: usize) {
-            v.reserve_exact(64 * (17 + 2 * k));
-        }
-        seed(&mut self.jobs, 0);
-        seed(&mut self.tag, 1);
-        seed(&mut self.wait, 2);
-        seed(&mut self.plan, 3);
-        seed(&mut self.run_option, 4);
-        seed(&mut self.run_start, 5);
-        seed(&mut self.run_aux, 6);
-        seed(&mut self.run_seg, 7);
-        seed(&mut self.first_start, 8);
-        seed(&mut self.finish, 9);
-        seed(&mut self.carbon_g, 10);
-        seed(&mut self.cost, 11);
-        seed(&mut self.evictions, 12);
-        seed(&mut self.remaining, 13);
-        seed(&mut self.starts, 14);
-        seed(&mut self.seg_nodes, 15);
-        seed(&mut self.seg_head, 16);
-        seed(&mut self.seg_tail, 17);
-        seed(&mut self.seg_count, 18);
-        self.queue.reserve(0);
     }
 
     /// Submits one job. Its arrival event is queued; the policy decides
@@ -563,7 +554,8 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             )));
         }
         if idx == 0 {
-            self.stagger_columns();
+            // Stagger the column capacities; a no-op after `reserve_jobs`.
+            self.reserve_jobs(0);
         }
         self.tag.push(Tag::Unarrived);
         self.wait.push(PackedDecision::default());

@@ -745,7 +745,7 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             *waiter_widths.entry(jobs[job as usize].cpus).or_insert(0u32) += 1;
         }
 
-        Ok(OnlineEngine {
+        let mut engine = OnlineEngine {
             config,
             carbon,
             forecaster,
@@ -788,7 +788,11 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             cancelled,
             nominal_makespan,
             completions,
-        })
+        };
+        // The columns were decoded at exactly the snapshot's job count;
+        // stagger them, or the next submit past it reallocates them all.
+        engine.reserve_jobs(0);
+        Ok(engine)
     }
 }
 

@@ -433,6 +433,15 @@ pub(crate) fn read_metrics_into(r: &mut Reader<'_>, target: &MetricsRegistry) ->
         }
         let count = r.u64()?;
         let sum_micro = r.u64()?;
+        let bucketed = buckets
+            .iter()
+            .try_fold(0u64, |total, &n| total.checked_add(n));
+        if bucketed != Some(count) {
+            return Err(format!(
+                "histogram {name:?} counts {count} observations but its buckets hold {}",
+                bucketed.map_or_else(|| "more than u64::MAX".to_owned(), |n| n.to_string())
+            ));
+        }
         target
             .histogram(&name)
             .merge_raw(&buckets, count, sum_micro);
@@ -598,6 +607,35 @@ mod tests {
         for corrupt in gaia_sim::codec::corruptions(&bytes) {
             let _ = decode(&corrupt);
         }
+    }
+
+    #[test]
+    fn metrics_with_a_count_off_the_bucket_sum_are_rejected() {
+        let src = MetricsRegistry::new();
+        src.histogram("sweep.cell_wait_hours").observe(1.5);
+        let mut w = Writer::new();
+        write_metrics(&mut w, &src);
+        let bytes = w.into_bytes();
+        // The histogram's `count` sits just before its trailing `sum`.
+        let count_at = bytes.len() - 16;
+        let decode =
+            |bytes: &[u8]| read_metrics_into(&mut Reader::new(bytes), &MetricsRegistry::new());
+        decode(&bytes).expect("the valid payload decodes");
+        for forged in [0u64, 2, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[count_at..count_at + 8].copy_from_slice(&forged.to_le_bytes());
+            let err = decode(&bad).expect_err("count off the bucket sum");
+            assert!(err.contains("buckets hold 1"), "{err}");
+        }
+        // Buckets whose sum overflows cannot match any count.
+        let mut bad = bytes.clone();
+        let first_bucket = count_at - 8 * HISTOGRAM_BUCKETS;
+        for i in 0..2 {
+            let at = first_bucket + 8 * i;
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        }
+        let err = decode(&bad).expect_err("overflowing bucket sum");
+        assert!(err.contains("more than u64::MAX"), "{err}");
     }
 
     #[test]

@@ -34,9 +34,4 @@ echo "== sweep-bench (1 vs ${WORKERS} workers)"
   --workers "${WORKERS}" --bench --no-progress \
   --out results --name sweep-bench > results/sweep-bench.txt
 
-# Tracing-overhead gate: the NullSink instrumentation path must stay
-# within 2% of the untraced simulation (results/obs_overhead.txt).
-echo "== obs_overhead (NullSink budget 2%)"
-./target/release/obs_overhead > results/obs_overhead.txt
-
 echo "all outputs written to results/"
