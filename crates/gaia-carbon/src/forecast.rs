@@ -14,35 +14,35 @@
 //! # Query architecture
 //!
 //! Policies hold a [`ForecastView`] — a thin façade anchored at one
-//! decision instant. Since the indexed-kernel redesign the view is backed
-//! by a [`ForecastQuery`] obtained from
-//! [`CarbonForecaster::query`]:
+//! decision instant. It answers in one of two ways:
 //!
-//! * [`PerfectForecaster`] serves queries straight from a lazily built
-//!   [`ForecastIndex`] (O(1) integrals, O(log n) quantiles, O(horizon)
-//!   slot selection), and batched start-time scans from
-//!   [`CarbonTrace::window_integrals`].
-//! * [`NoisyForecaster`] and [`PersistenceForecaster`] memoize their
-//!   per-hour samples for the current `now`; the memo is invalidated
-//!   whenever a query is opened at a different instant.
-//! * Custom forecasters fall back to a naive query that re-derives every
-//!   answer from [`CarbonForecaster::forecast`], exactly as the view
-//!   itself used to.
+//! * When the forecaster's forecasts *are* a trace
+//!   ([`CarbonForecaster::exact_trace`], true for [`PerfectForecaster`]),
+//!   the view reads that [`CarbonTrace`] directly, with no `Box` and no
+//!   virtual dispatch: integrals from [`CarbonTrace::window_integral`],
+//!   batched start-time scans from [`CarbonTrace::window_integrals`].
+//! * Otherwise it wraps the [`ForecastQuery`] session from
+//!   [`CarbonForecaster::query`]. [`NoisyForecaster`] and
+//!   [`PersistenceForecaster`] memoize their per-hour samples for the
+//!   current `now` (the memo is invalidated whenever a query is opened at
+//!   a different instant); any other forecaster gets a naive query that
+//!   re-derives every answer from [`CarbonForecaster::forecast`].
 //!
-//! All three paths return **bit-identical** results: the index reuses the
-//! trace's own integral path, order statistics are exact sample values
-//! under [`f64::total_cmp`], and memoized samples are the very values a
-//! direct [`CarbonForecaster::forecast`] call would produce, summed in
-//! the same order.
+//! Every path takes quantiles and greenest-slot plans through the same
+//! two bodies over the window's hourly slots; they differ only in where
+//! a slot's intensity is read from. All paths return **bit-identical**
+//! results: order statistics are exact sample values under
+//! [`f64::total_cmp`], and memoized samples are the very values a direct
+//! [`CarbonForecaster::forecast`] call would produce, summed in the same
+//! order.
 
 use std::cell::RefCell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-use gaia_time::{HourlySlots, Minutes, SimTime, SlotSpan};
+use gaia_time::{HourlySlots, Minutes, SimTime, SlotSpan, MINUTES_PER_HOUR};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::index::{quantile_rank, select_greenest, ForecastIndex, SlotCand};
 use crate::synth::standard_normal;
 use crate::{CarbonTrace, GramsPerKwh};
 
@@ -78,25 +78,35 @@ pub trait CarbonForecaster {
     ///
     /// The default implementation answers every query by re-deriving it
     /// from [`CarbonForecaster::forecast`] — correct for any implementor.
-    /// Forecasters with precomputed or memoizable structure override this
-    /// to serve the same answers from an index (the results must be
-    /// bit-identical; see the module docs).
+    /// Forecasters with memoizable structure override this to serve the
+    /// same answers from a memo (the results must be bit-identical; see
+    /// the module docs).
     fn query<'s>(&'s self, now: SimTime) -> Box<dyn ForecastQuery + 's> {
         Box::new(NaiveQuery::new(self, now))
     }
 
-    /// The prebuilt [`ForecastIndex`] this forecaster serves queries
-    /// from, if it answers *every* query straight from one.
+    /// The trace this forecaster's forecasts equal exactly, if they do.
     ///
     /// Returning `Some` lets [`ForecastView::new`] skip the boxed
-    /// [`CarbonForecaster::query`] session entirely and statically
-    /// dispatch into the index — the hot path for engines that open a
-    /// fresh view on every job arrival. Implementors must only return
-    /// `Some` when the indexed answers are bit-identical to their
-    /// [`CarbonForecaster::query`] session (true for
-    /// [`PerfectForecaster`]; stochastic forecasters memoize per-`now`
-    /// state and must return `None`, the default).
-    fn forecast_index(&self) -> Option<&ForecastIndex<'_>> {
+    /// [`CarbonForecaster::query`] session and read the trace directly —
+    /// the hot path for engines that open a fresh view on every job
+    /// arrival. Implementors must only return `Some(trace)` when every
+    /// forecast is `trace.intensity_at(at)` and every integral is
+    /// `trace.window_integral` (true for [`PerfectForecaster`]), so the
+    /// view's answers stay bit-identical to their
+    /// [`CarbonForecaster::query`] session. The default is `None`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gaia_carbon::{CarbonForecaster, CarbonTrace, NoisyForecaster, PerfectForecaster};
+    ///
+    /// let trace = CarbonTrace::from_hourly(vec![100.0, 50.0, 200.0])?;
+    /// assert!(PerfectForecaster::new(&trace).exact_trace().is_some());
+    /// assert!(NoisyForecaster::new(&trace, 0.2, 7).exact_trace().is_none());
+    /// # Ok::<(), gaia_carbon::CarbonError>(())
+    /// ```
+    fn exact_trace(&self) -> Option<&CarbonTrace> {
         None
     }
 }
@@ -124,8 +134,9 @@ pub trait ForecastQuery {
     /// for `k in 0..count`, handed to `visit` in order of `k`.
     ///
     /// Each value is bit-identical to [`ForecastQuery::integral`] at that
-    /// start. The default is exactly that per-candidate loop; the indexed
-    /// query overrides it with the [`CarbonTrace::window_integrals`] scan.
+    /// start. The default is exactly that per-candidate loop; a
+    /// [`ForecastView`] over an exact trace runs the
+    /// [`CarbonTrace::window_integrals`] scan instead.
     fn scan_integrals(
         &self,
         start: SimTime,
@@ -208,7 +219,8 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for NaiveQuery<'_, F> {
     }
 
     fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
-        slots_quantile(&self.scratch, self.now, horizon, q, |s| self.at(s.start))
+        let mut samples = self.scratch.borrow_mut();
+        slots_quantile(&mut samples, self.now, horizon, q, |s| self.at(s.start))
     }
 
     fn greenest_slots(&self, horizon: Minutes, need: Minutes) -> Vec<(SimTime, Minutes)> {
@@ -217,16 +229,15 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for NaiveQuery<'_, F> {
 }
 
 /// The nearest-rank `q`-quantile of `value` over the hourly slots of
-/// `[now, now + horizon)`, gathered in `scratch`. [`NaiveQuery`] and
-/// [`MemoQuery`] share this body; they differ only in `value`.
+/// `[now, now + horizon)`, gathered in `samples`. Every query path
+/// shares this body; they differ only in `value`.
 fn slots_quantile(
-    scratch: &RefCell<Vec<f64>>,
+    samples: &mut Vec<f64>,
     now: SimTime,
     horizon: Minutes,
     q: f64,
     value: impl FnMut(SlotSpan) -> f64,
 ) -> GramsPerKwh {
-    let mut samples = scratch.borrow_mut();
     samples.clear();
     samples.extend(HourlySlots::spanning(now, horizon).map(value));
     let idx = quantile_rank(samples.len() as u64, q) as usize;
@@ -234,6 +245,12 @@ fn slots_quantile(
     // perturbed forecaster degrades the answer instead of panicking.
     let (_, nth, _) = samples.select_nth_unstable_by(idx, f64::total_cmp);
     *nth
+}
+
+/// Nearest-rank index for the `q`-quantile of `count` samples, with `q`
+/// clamped to `[0, 1]`.
+fn quantile_rank(count: u64, q: f64) -> u64 {
+    ((count - 1) as f64 * q.clamp(0.0, 1.0)).round() as u64
 }
 
 /// The greenest-slot plan over the hourly slots of `[now, now +
@@ -256,69 +273,66 @@ fn slots_greenest(
     select_greenest(slots, need)
 }
 
-/// The [`PerfectForecaster`] query: served from its [`ForecastIndex`].
-struct IndexQuery<'s, 't> {
-    index: &'s ForecastIndex<'t>,
-    now: SimTime,
+/// One candidate hourly slot for greenest-slot selection.
+#[derive(Debug, Clone, Copy)]
+struct SlotCand {
+    /// Start of the usable portion of the slot.
+    start: SimTime,
+    /// Usable minutes within the slot (1..=60; only the first and last
+    /// slots of a window can be partial).
+    avail: Minutes,
+    /// Carbon intensity during the slot.
+    ci: f64,
 }
 
-impl IndexQuery<'_, '_> {
-    /// [`ForecastQuery::scan_integrals`] over the trace's scan kernel,
-    /// statically dispatched for the view's indexed arm.
-    #[inline]
-    fn scan(
-        &self,
-        start: SimTime,
-        step: Minutes,
-        len: Minutes,
-        count: u64,
-        visit: impl FnMut(f64),
-    ) {
-        self.index
-            .trace()
-            .window_integrals(start, step, len, count)
-            .for_each(visit);
+/// Selects the cheapest slots summing to `need` minutes and returns the
+/// merged, start-sorted plan — the one greedy behind every
+/// forecast-query path.
+///
+/// Identical output to sorting all slots by `(ci, start)` and taking
+/// greedily: the greedy touches at most `ceil((need + 118) / 60)` slots
+/// (any k slots cover at least `60k - 118` minutes, since at most the
+/// two window edges are partial), so partitioning the k cheapest to the
+/// front with `select_nth_unstable_by` and sorting only those k is
+/// enough. `(ci, start)` keys are unique per slot, so the selected set
+/// and its order are fully determined. NaN CIs (a perturbed forecaster)
+/// sort last under [`f64::total_cmp`], which for the finite values a
+/// [`CarbonTrace`] guarantees coincides with the old `partial_cmp` order.
+fn select_greenest(mut slots: Vec<SlotCand>, need: Minutes) -> Vec<(SimTime, Minutes)> {
+    if need.is_zero() {
+        return Vec::new();
     }
-}
+    let key = |a: &SlotCand, b: &SlotCand| a.ci.total_cmp(&b.ci).then(a.start.cmp(&b.start));
+    let cap = (need.as_minutes() + 118).div_ceil(MINUTES_PER_HOUR) as usize;
+    let cheap = if cap < slots.len() {
+        slots.select_nth_unstable_by(cap - 1, key);
+        &mut slots[..cap]
+    } else {
+        &mut slots[..]
+    };
+    cheap.sort_by(key);
 
-impl ForecastQuery for IndexQuery<'_, '_> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn current(&self) -> GramsPerKwh {
-        self.index.trace().intensity_at(self.now)
-    }
-
-    fn at(&self, at: SimTime) -> GramsPerKwh {
-        self.index.trace().intensity_at(at)
-    }
-
-    fn integral(&self, start: SimTime, len: Minutes) -> f64 {
-        self.index.window_integral(start, len)
-    }
-
-    fn scan_integrals(
-        &self,
-        start: SimTime,
-        step: Minutes,
-        len: Minutes,
-        count: u64,
-        visit: &mut dyn FnMut(f64),
-    ) {
-        self.scan(start, step, len, count, visit);
-    }
-
-    fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
-        self.index.window_quantile(self.now, horizon, q)
-    }
-
-    fn greenest_slots(&self, horizon: Minutes, need: Minutes) -> Vec<(SimTime, Minutes)> {
-        if need.is_zero() {
-            return Vec::new();
+    let mut remaining = need;
+    let mut chosen: Vec<(SimTime, Minutes)> = Vec::new();
+    for slot in cheap.iter() {
+        if remaining.is_zero() {
+            break;
         }
-        self.index.greenest_slots(self.now, horizon, need)
+        let take = slot.avail.min(remaining);
+        chosen.push((slot.start, take));
+        remaining -= take;
     }
+    assert!(remaining.is_zero(), "horizon >= need guarantees coverage");
+    chosen.sort_by_key(|(s, _)| *s);
+    // Merge adjacent segments for a tidy plan.
+    let mut merged: Vec<(SimTime, Minutes)> = Vec::with_capacity(chosen.len());
+    for (s, l) in chosen {
+        match merged.last_mut() {
+            Some((ms, ml)) if *ms + *ml == s => *ml += l,
+            _ => merged.push((s, l)),
+        }
+    }
+    merged
 }
 
 /// Per-`now` memo of hourly forecast samples, owned by the stochastic
@@ -449,7 +463,8 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for MemoQuery<'_, F> {
     }
 
     fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
-        slots_quantile(&self.scratch, self.now, horizon, q, |s| self.slot_value(s))
+        let mut samples = self.scratch.borrow_mut();
+        slots_quantile(&mut samples, self.now, horizon, q, |s| self.slot_value(s))
     }
 
     fn greenest_slots(&self, horizon: Minutes, need: Minutes) -> Vec<(SimTime, Minutes)> {
@@ -460,9 +475,10 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for MemoQuery<'_, F> {
 /// A read-only view pairing a forecaster with a decision instant.
 ///
 /// Policies receive a `ForecastView` so they cannot accidentally peek at a
-/// different "now" than the scheduler intended. Internally the view holds
-/// the [`ForecastQuery`] session opened at construction, so repeated
-/// horizon queries hit the forecaster's index or memo.
+/// different "now" than the scheduler intended. Internally the view reads
+/// the forecaster's exact trace, or holds the [`ForecastQuery`] session
+/// opened at construction, so repeated horizon queries hit the
+/// forecaster's memo.
 ///
 /// # Examples
 ///
@@ -478,26 +494,27 @@ impl<F: CarbonForecaster + ?Sized> ForecastQuery for MemoQuery<'_, F> {
 /// ```
 pub struct ForecastView<'a> {
     forecaster: &'a dyn CarbonForecaster,
+    now: SimTime,
     backend: ViewBackend<'a>,
 }
 
 /// How a [`ForecastView`] answers queries.
 ///
-/// The indexed arm exists so the per-arrival hot path pays neither a
-/// `Box` allocation nor virtual dispatch: when the forecaster exposes a
-/// [`ForecastIndex`] ([`CarbonForecaster::forecast_index`]), every view
-/// method below statically dispatches into the index. Both arms compute
-/// bit-identical answers (the indexed arm is the same [`IndexQuery`] the
-/// boxed session would wrap).
+/// The trace arm exists so the per-arrival hot path pays neither a
+/// `Box` allocation nor virtual dispatch: when the forecaster's forecasts
+/// are a trace ([`CarbonForecaster::exact_trace`]), every view method
+/// below reads it directly. Both arms compute bit-identical answers: the
+/// trace arm runs the same slot bodies the boxed naive session would,
+/// with the same per-slot values.
 enum ViewBackend<'a> {
-    Indexed(IndexQuery<'a, 'a>),
+    Trace(&'a CarbonTrace),
     Dyn(Box<dyn ForecastQuery + 'a>),
 }
 
 impl std::fmt::Debug for ForecastView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ForecastView")
-            .field("now", &self.now())
+            .field("now", &self.now)
             .finish_non_exhaustive()
     }
 }
@@ -505,22 +522,20 @@ impl std::fmt::Debug for ForecastView<'_> {
 impl<'a> ForecastView<'a> {
     /// Creates a view of `forecaster` anchored at decision instant `now`.
     pub fn new(forecaster: &'a dyn CarbonForecaster, now: SimTime) -> Self {
-        let backend = match forecaster.forecast_index() {
-            Some(index) => ViewBackend::Indexed(IndexQuery { index, now }),
+        let backend = match forecaster.exact_trace() {
+            Some(trace) => ViewBackend::Trace(trace),
             None => ViewBackend::Dyn(forecaster.query(now)),
         };
         ForecastView {
             forecaster,
+            now,
             backend,
         }
     }
 
     /// The decision instant this view is anchored at.
     pub fn now(&self) -> SimTime {
-        match &self.backend {
-            ViewBackend::Indexed(q) => q.now,
-            ViewBackend::Dyn(q) => q.now(),
-        }
+        self.now
     }
 
     /// The forecaster backing this view.
@@ -531,7 +546,7 @@ impl<'a> ForecastView<'a> {
     /// Carbon intensity observed at the decision instant.
     pub fn current(&self) -> GramsPerKwh {
         match &self.backend {
-            ViewBackend::Indexed(q) => q.current(),
+            ViewBackend::Trace(t) => t.intensity_at(self.now),
             ViewBackend::Dyn(q) => q.current(),
         }
     }
@@ -539,7 +554,7 @@ impl<'a> ForecastView<'a> {
     /// Forecast intensity at a future instant.
     pub fn at(&self, at: SimTime) -> GramsPerKwh {
         match &self.backend {
-            ViewBackend::Indexed(q) => q.at(at),
+            ViewBackend::Trace(t) => t.intensity_at(at),
             ViewBackend::Dyn(q) => q.at(at),
         }
     }
@@ -547,7 +562,7 @@ impl<'a> ForecastView<'a> {
     /// Forecast CI integral over `[start, start + len)`, in (g/kWh)·hours.
     pub fn integral(&self, start: SimTime, len: Minutes) -> f64 {
         match &self.backend {
-            ViewBackend::Indexed(q) => q.integral(start, len),
+            ViewBackend::Trace(t) => t.window_integral(start, len),
             ViewBackend::Dyn(q) => q.integral(start, len),
         }
     }
@@ -566,7 +581,7 @@ impl<'a> ForecastView<'a> {
         mut visit: impl FnMut(f64),
     ) {
         match &self.backend {
-            ViewBackend::Indexed(q) => q.scan(start, step, len, count, visit),
+            ViewBackend::Trace(t) => t.window_integrals(start, step, len, count).for_each(visit),
             ViewBackend::Dyn(q) => q.scan_integrals(start, step, len, count, &mut visit),
         }
     }
@@ -578,7 +593,7 @@ impl<'a> ForecastView<'a> {
     /// Panics if `len` is zero.
     pub fn average(&self, start: SimTime, len: Minutes) -> GramsPerKwh {
         match &self.backend {
-            ViewBackend::Indexed(q) => q.average(start, len),
+            ViewBackend::Trace(t) => t.window_avg(start, len),
             ViewBackend::Dyn(q) => q.average(start, len),
         }
     }
@@ -593,7 +608,9 @@ impl<'a> ForecastView<'a> {
     /// Panics if `horizon` is zero.
     pub fn quantile(&self, horizon: Minutes, q: f64) -> GramsPerKwh {
         match &self.backend {
-            ViewBackend::Indexed(s) => s.quantile(horizon, q),
+            ViewBackend::Trace(t) => slots_quantile(&mut Vec::new(), self.now, horizon, q, |s| {
+                t.intensity_at(s.start)
+            }),
             ViewBackend::Dyn(s) => s.quantile(horizon, q),
         }
     }
@@ -606,7 +623,9 @@ impl<'a> ForecastView<'a> {
     /// Panics if `need` exceeds `horizon`.
     pub fn greenest_slots(&self, horizon: Minutes, need: Minutes) -> Vec<(SimTime, Minutes)> {
         match &self.backend {
-            ViewBackend::Indexed(q) => q.greenest_slots(horizon, need),
+            ViewBackend::Trace(t) => {
+                slots_greenest(self.now, horizon, need, |s| t.intensity_at(s.start))
+            }
             ViewBackend::Dyn(q) => q.greenest_slots(horizon, need),
         }
     }
@@ -614,21 +633,17 @@ impl<'a> ForecastView<'a> {
 
 /// The paper's perfect-forecast assumption: forecasts equal the trace.
 ///
-/// Queries are served from a lazily built [`ForecastIndex`] shared by
-/// every [`ForecastView`] anchored on this forecaster.
+/// Views anchored on it read the trace directly
+/// ([`CarbonForecaster::exact_trace`]); nothing is built or cached.
 #[derive(Debug, Clone)]
 pub struct PerfectForecaster<'t> {
     trace: &'t CarbonTrace,
-    index: OnceLock<ForecastIndex<'t>>,
 }
 
 impl<'t> PerfectForecaster<'t> {
     /// Creates a perfect forecaster backed by `trace`.
     pub fn new(trace: &'t CarbonTrace) -> Self {
-        PerfectForecaster {
-            trace,
-            index: OnceLock::new(),
-        }
+        PerfectForecaster { trace }
     }
 
     /// The backing trace.
@@ -636,18 +651,10 @@ impl<'t> PerfectForecaster<'t> {
         self.trace
     }
 
-    /// The query index over the backing trace, built on first use.
-    pub fn index(&self) -> &ForecastIndex<'t> {
-        self.index.get_or_init(|| ForecastIndex::new(self.trace))
-    }
-
-    /// Forces the index build now instead of on the first query.
-    ///
-    /// Latency-sensitive callers (the online serving layer) use this to
-    /// pay the O(horizon) index construction once at startup, so the
-    /// first job submission is O(plan) like every later one.
+    /// Does nothing: a perfect forecaster has nothing to build before
+    /// its first query. Kept so callers written against the earlier
+    /// index-building forecaster still compile.
     pub fn warm(&self) -> &Self {
-        let _ = self.index();
         self
     }
 }
@@ -665,15 +672,8 @@ impl CarbonForecaster for PerfectForecaster<'_> {
         self.trace.window_integral(start, len)
     }
 
-    fn query<'s>(&'s self, now: SimTime) -> Box<dyn ForecastQuery + 's> {
-        Box::new(IndexQuery {
-            index: self.index(),
-            now,
-        })
-    }
-
-    fn forecast_index(&self) -> Option<&ForecastIndex<'_>> {
-        Some(self.index())
+    fn exact_trace(&self) -> Option<&CarbonTrace> {
+        Some(self.trace)
     }
 }
 
@@ -810,9 +810,9 @@ impl CarbonForecaster for PersistenceForecaster<'_> {
 /// Mean absolute percentage error of `forecaster` against `truth` for a
 /// fixed lead time, sampled hourly over one trace period.
 ///
-/// Each decision instant opens one [`ForecastQuery`] session, so indexed
-/// and memoizing forecasters serve the hourly samples from their fast
-/// paths (the values are bit-identical to direct `forecast` calls).
+/// Each decision instant opens one [`ForecastQuery`] session, so
+/// memoizing forecasters serve the hourly samples from their memo (the
+/// values are bit-identical to direct `forecast` calls).
 ///
 /// # Panics
 ///
@@ -885,8 +885,8 @@ mod tests {
     }
 
     /// Out-of-range `q` clamps to the window's min or max on every query
-    /// path: indexed (perfect), memoized (noisy, persistence) and naive
-    /// (a custom forecaster).
+    /// path: the trace arm (perfect), memoized (noisy, persistence) and
+    /// naive (a custom forecaster).
     #[test]
     fn quantile_clamps_q_outside_unit_interval() {
         struct Wrap<'a>(&'a CarbonTrace);
@@ -1013,8 +1013,8 @@ mod tests {
         }
     }
 
-    /// The three query paths must answer identically to the raw
-    /// forecaster calls they cache or index.
+    /// The query sessions must answer identically to the raw forecaster
+    /// calls they cache or re-derive.
     #[test]
     fn query_paths_are_bit_identical_to_direct_calls() {
         let t = crate::synth::synthesize_region(crate::Region::Ontario, 3);
@@ -1228,5 +1228,136 @@ mod tests {
         let view = ForecastView::new(&f, SimTime::from_hours(3));
         let dbg = format!("{view:?}");
         assert!(dbg.contains("now"));
+    }
+
+    #[test]
+    fn quantile_on_constant_trace() {
+        let t = CarbonTrace::constant(123.25, 48).expect("valid");
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::ORIGIN);
+        assert_eq!(view.quantile(Minutes::from_hours(5), 0.5), 123.25);
+    }
+
+    /// Out-of-range `q` clamps on the trace arm for windows from one
+    /// hour to longer than the year-long period.
+    #[test]
+    fn trace_quantile_clamps_q_on_every_horizon() {
+        let t = crate::synth::synthesize_region(crate::Region::SouthAustralia, 42);
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::from_minutes(8000 * 60 + 7));
+        for horizon_h in [1u64, 7, 24, 9000] {
+            let horizon = Minutes::from_hours(horizon_h);
+            let lo = view.quantile(horizon, 0.0);
+            let hi = view.quantile(horizon, 1.0);
+            for q in [-0.5, f64::NEG_INFINITY] {
+                let got = view.quantile(horizon, q);
+                assert_eq!(got.to_bits(), lo.to_bits(), "q={q} h={horizon_h}");
+            }
+            for q in [1.5, f64::INFINITY] {
+                let got = view.quantile(horizon, q);
+                assert_eq!(got.to_bits(), hi.to_bits(), "q={q} h={horizon_h}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_greenest_zero_need_is_empty() {
+        assert_eq!(select_greenest(Vec::new(), Minutes::ZERO), Vec::new());
+    }
+
+    #[test]
+    fn select_greenest_handles_nan_ci() {
+        // A perturbed forecaster can hand the selector NaN intensities;
+        // they must sort last, never panic.
+        let slots = vec![
+            SlotCand {
+                start: SimTime::ORIGIN,
+                avail: Minutes::new(60),
+                ci: f64::NAN,
+            },
+            SlotCand {
+                start: SimTime::from_hours(1),
+                avail: Minutes::new(60),
+                ci: 10.0,
+            },
+        ];
+        let plan = select_greenest(slots, Minutes::new(60));
+        assert_eq!(plan, vec![(SimTime::from_hours(1), Minutes::new(60))]);
+    }
+
+    #[test]
+    fn integral_is_the_trace_integral() {
+        let t = crate::synth::synthesize_region(crate::Region::SouthAustralia, 42);
+        let f = PerfectForecaster::new(&t);
+        let view = ForecastView::new(&f, SimTime::ORIGIN);
+        let start = SimTime::from_minutes(12345);
+        let len = Minutes::new(789);
+        assert_eq!(
+            view.integral(start, len).to_bits(),
+            t.window_integral(start, len).to_bits()
+        );
+        assert_eq!(
+            view.average(start, len).to_bits(),
+            t.window_avg(start, len).to_bits()
+        );
+    }
+
+    /// The view's trace arm answers every method bit for bit like the
+    /// perfect forecaster's own query session (the default naive one),
+    /// at year-trace anchors deep in and past the period, with horizons
+    /// longer than one period.
+    #[test]
+    fn trace_arm_is_bit_equal_to_the_query_session() {
+        let t = crate::synth::synthesize_region(crate::Region::SouthAustralia, 42);
+        let f = PerfectForecaster::new(&t);
+        let year = 8760 * 60;
+        for now_min in [0u64, 59, 4_000 * 60 + 17, year - 30, year + 61] {
+            let now = SimTime::from_minutes(now_min);
+            let view = ForecastView::new(&f, now);
+            assert!(matches!(view.backend, ViewBackend::Trace(_)));
+            let query = f.query(now);
+            let ctx = format!("now={now_min}");
+            assert_eq!(view.now(), query.now(), "{ctx}");
+            assert_eq!(view.current().to_bits(), query.current().to_bits(), "{ctx}");
+            for at_min in [now_min, now_min + 1, now_min + 60, now_min + year + 7] {
+                let at = SimTime::from_minutes(at_min);
+                assert_eq!(view.at(at).to_bits(), query.at(at).to_bits(), "{ctx}");
+            }
+            for horizon_min in [60u64, 91, 24 * 60, year + 90, 2 * year + 1] {
+                let horizon = Minutes::new(horizon_min);
+                let ctx = format!("{ctx} horizon={horizon_min}");
+                assert_eq!(
+                    view.integral(now, horizon).to_bits(),
+                    query.integral(now, horizon).to_bits(),
+                    "{ctx}"
+                );
+                assert_eq!(
+                    view.average(now, horizon).to_bits(),
+                    query.average(now, horizon).to_bits(),
+                    "{ctx}"
+                );
+                let step = Minutes::new(37);
+                let mut scanned = Vec::new();
+                view.scan_integrals(now, step, horizon, 12, |v| scanned.push(v.to_bits()));
+                let mut want = Vec::new();
+                query.scan_integrals(now, step, horizon, 12, &mut |v| want.push(v.to_bits()));
+                assert_eq!(scanned, want, "{ctx}");
+                for q in [0.0, 0.3, 0.5, 1.0] {
+                    assert_eq!(
+                        view.quantile(horizon, q).to_bits(),
+                        query.quantile(horizon, q).to_bits(),
+                        "{ctx} q={q}"
+                    );
+                }
+                for need_min in [0u64, 1, 90, horizon_min / 2, horizon_min] {
+                    let need = Minutes::new(need_min.min(horizon_min));
+                    assert_eq!(
+                        view.greenest_slots(horizon, need),
+                        query.greenest_slots(horizon, need),
+                        "{ctx} need={need_min}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -41,7 +41,6 @@
 
 mod error;
 mod forecast;
-mod index;
 pub mod io;
 pub mod price;
 mod region;
@@ -54,6 +53,5 @@ pub use forecast::{
     forecast_mape, CarbonForecaster, ForecastQuery, ForecastView, NoisyForecaster,
     PerfectForecaster, PersistenceForecaster,
 };
-pub use index::ForecastIndex;
 pub use region::{IntensityLevel, Region, Variability};
 pub use trace::{CarbonTrace, GramsCo2, GramsPerKwh};

@@ -156,10 +156,10 @@ pub(crate) fn greenest_slots(
     need: Minutes,
 ) -> Vec<(SimTime, Minutes)> {
     let horizon = horizon.max(need);
-    // The view routes this through the forecaster's query kernel: the
-    // perfect forecaster answers from its ForecastIndex, stochastic
-    // forecasters from their per-`now` memo, with output identical to
-    // the historical sort-everything greedy over `ctx.forecast.at`.
+    // The view runs one greedy over the window's hourly slots: the
+    // perfect forecaster's slots read its trace, stochastic forecasters'
+    // their per-`now` memo, with output identical to the historical
+    // sort-everything greedy over `ctx.forecast.at`.
     ctx.forecast.greenest_slots(horizon, need)
 }
 

@@ -31,14 +31,14 @@
 //!   plain [`run_spec_report`](crate::runner::run_spec_report) and the
 //!   merged report is **identical** to it, byte for byte.
 
-use gaia_carbon::{CarbonTrace, ForecastIndex, Region};
+use gaia_carbon::{CarbonTrace, Region};
 use gaia_core::catalog::PolicySpec;
 use gaia_core::placement::{Placement, PlacementSpec};
 use gaia_sim::{
     audit_report, AllocationTimeline, AuditInvariant, AuditReport, AuditViolation, ClusterConfig,
     ClusterTotals, JobOutcome, SimError, SimReport, TransferStats,
 };
-use gaia_time::Minutes;
+use gaia_time::{Minutes, SimTime, MINUTES_PER_HOUR};
 use gaia_workload::{Job, QueueSet, WorkloadTrace};
 
 use crate::runner::{default_queues, try_run_spec_report_with_queues};
@@ -136,7 +136,14 @@ pub fn try_run_placed(
     config: ClusterConfig,
 ) -> Result<PlacedReport, SimError> {
     let queues = default_queues(trace);
-    let assignment = assign_regions(trace, traces, placement, &queues, &config);
+    let assignment = assign_regions(
+        trace,
+        traces,
+        placement,
+        &queues,
+        &config,
+        greenest_integral,
+    );
 
     let mut regions = Vec::new();
     for &candidate in &placement.candidates {
@@ -188,7 +195,8 @@ pub fn try_run_placed(
 ///
 /// The score of running `job` in region `r` is the CI integral of the
 /// greenest length-`J` window starting within the job's waiting budget
-/// after its (latency-shifted) arrival, converted to grams through the
+/// after its (latency-shifted) arrival (`greenest`, which is
+/// [`greenest_integral`] outside tests), converted to grams through the
 /// cluster's energy model, plus the network carbon of the move. Ties
 /// keep the earlier candidate, so a flat score surface stays home.
 fn assign_regions(
@@ -197,11 +205,12 @@ fn assign_regions(
     placement: &PlacementSpec,
     queues: &QueueSet,
     config: &ClusterConfig,
+    greenest: impl Fn(&CarbonTrace, SimTime, Minutes, Minutes) -> f64,
 ) -> Vec<Region> {
-    let indexes: Vec<(Region, ForecastIndex<'_>)> = placement
+    let candidates: Vec<(Region, &CarbonTrace)> = placement
         .candidates
         .iter()
-        .map(|&r| (r, ForecastIndex::new(trace_for(traces, r))))
+        .map(|&r| (r, trace_for(traces, r)))
         .collect();
     trace
         .jobs()
@@ -209,31 +218,47 @@ fn assign_regions(
         .map(|job| {
             let budget = queues.max_wait_for(job);
             let mut best: Option<(f64, Region)> = None;
-            for (region, index) in &indexes {
-                let penalty = placement.model.penalty(job, placement.home, *region);
+            for &(region, carbon) in &candidates {
+                let penalty = placement.model.penalty(job, placement.home, region);
                 let earliest = job.arrival + penalty.latency;
-                let mut integral = f64::INFINITY;
-                let mut offset = Minutes::ZERO;
-                loop {
-                    let candidate = index.window_integral(earliest + offset, job.length);
-                    if candidate < integral {
-                        integral = candidate;
-                    }
-                    if offset >= budget {
-                        break;
-                    }
-                    offset = (offset + Minutes::from_hours(1)).min(budget);
-                }
+                let integral = greenest(carbon, earliest, job.length, budget);
                 let grams =
                     integral * config.energy.kw_per_cpu * f64::from(job.cpus) + penalty.carbon_g;
                 if best.is_none_or(|(b, _)| grams < b) {
-                    best = Some((grams, *region));
+                    best = Some((grams, region));
                 }
             }
             best.expect("placement specs always have at least one candidate")
                 .1
         })
         .collect()
+}
+
+/// The least CI integral of a `length` window starting within `budget`
+/// of `earliest`. The candidate starts are `earliest` and each whole hour
+/// after it up to `budget`, from one [`CarbonTrace::window_integrals`]
+/// scan, plus `earliest + budget` itself when `budget` is not a whole
+/// number of hours. A candidate replaces the minimum only when strictly
+/// lower, which for finite integrals gives the same value in any order.
+fn greenest_integral(
+    carbon: &CarbonTrace,
+    earliest: SimTime,
+    length: Minutes,
+    budget: Minutes,
+) -> f64 {
+    let hourly = budget.as_minutes() / MINUTES_PER_HOUR + 1;
+    let last = (!budget.as_minutes().is_multiple_of(MINUTES_PER_HOUR))
+        .then(|| carbon.window_integral(earliest + budget, length));
+    carbon
+        .window_integrals(earliest, Minutes::from_hours(1), length, hourly)
+        .chain(last)
+        .fold(f64::INFINITY, |best, candidate| {
+            if candidate < best {
+                candidate
+            } else {
+                best
+            }
+        })
 }
 
 /// Merges per-region runs back into one whole-workload report.
@@ -416,9 +441,100 @@ mod tests {
     use gaia_carbon::synth::synthesize_region;
     use gaia_core::catalog::BasePolicyKind;
     use gaia_workload::synth::TraceFamily;
+    use proptest::prelude::*;
 
     fn week_trace() -> WorkloadTrace {
         TraceFamily::AlibabaPai.week_long_1k(42)
+    }
+
+    /// The per-offset search [`greenest_integral`] replaced: hourly
+    /// offsets from zero, then one last candidate at `budget`.
+    fn greenest_integral_loop(
+        carbon: &CarbonTrace,
+        earliest: SimTime,
+        length: Minutes,
+        budget: Minutes,
+    ) -> f64 {
+        let mut integral = f64::INFINITY;
+        let mut offset = Minutes::ZERO;
+        loop {
+            let candidate = carbon.window_integral(earliest + offset, length);
+            if candidate < integral {
+                integral = candidate;
+            }
+            if offset >= budget {
+                break;
+            }
+            offset = (offset + Minutes::from_hours(1)).min(budget);
+        }
+        integral
+    }
+
+    proptest! {
+        /// The scan finds the loop's minimum bit for bit, for budgets of
+        /// zero, under an hour, whole hours and not whole hours.
+        #[test]
+        fn greenest_integral_matches_the_offset_loop(
+            hourly in prop::collection::vec(0.0f64..900.0, 1..60),
+            earliest in 0u64..20_000,
+            length in 0u64..3_000,
+            budget in prop_oneof![
+                Just(0u64),
+                1u64..60,
+                (0u64..48).prop_map(|h| h * 60),
+                0u64..3_000,
+            ],
+        ) {
+            let carbon = CarbonTrace::from_hourly(hourly).expect("non-negative values");
+            let (earliest, length, budget) =
+                (SimTime::from_minutes(earliest), Minutes::new(length), Minutes::new(budget));
+            prop_assert_eq!(
+                greenest_integral(&carbon, earliest, length, budget).to_bits(),
+                greenest_integral_loop(&carbon, earliest, length, budget).to_bits()
+            );
+        }
+    }
+
+    /// Placement assigns every job to the same region through the scan
+    /// as through the offset loop, over random per-queue waiting
+    /// budgets, most of them not whole hours.
+    #[test]
+    fn assignments_match_the_offset_loop_over_random_budgets() {
+        let trace = week_trace();
+        let traces: Vec<_> = [Region::SouthAustralia, Region::California, Region::Ontario]
+            .into_iter()
+            .map(|r| (r, synthesize_region(r, 42)))
+            .collect();
+        let refs: Vec<_> = traces.iter().map(|(r, t)| (*r, t)).collect();
+        let spec = PlacementSpec::federated(Region::California).with_candidates(&[
+            Region::California,
+            Region::SouthAustralia,
+            Region::Ontario,
+        ]);
+        let config = ClusterConfig::default();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            1 + (state >> 33) % bound
+        };
+        let mut budgets = vec![(1, 1), (59, 61), (60, 720), (90, 725)];
+        budgets.extend((0..6).map(|_| (draw(6 * 60), draw(36 * 60))));
+        for (short, long) in budgets {
+            let queues = default_queues(&trace).with_waits(Minutes::new(short), Minutes::new(long));
+            let scanned = assign_regions(&trace, &refs, &spec, &queues, &config, greenest_integral);
+            let looped = assign_regions(
+                &trace,
+                &refs,
+                &spec,
+                &queues,
+                &config,
+                greenest_integral_loop,
+            );
+            assert_eq!(scanned, looped, "budgets short={short} long={long}");
+            assert!(scanned.iter().any(|&r| r != Region::California));
+        }
     }
 
     #[test]

@@ -215,7 +215,6 @@ pub fn run(options: &ServeOptions) -> Result<(), String> {
     };
     let policy_trace: &CarbonTrace = bridged.as_ref().unwrap_or(&carbon);
     let forecaster = PerfectForecaster::new(policy_trace);
-    forecaster.warm();
     let persistence;
     let fallback: Option<&dyn CarbonForecaster> = match faults {
         Some(f) if f.has_outages() => {

@@ -13,9 +13,9 @@
 //! advances the engine to `t` (planning the new arrival and executing
 //! everything scheduled before it), so requests must carry
 //! nondecreasing `at` values. The policy plans each arrival
-//! incrementally against the shared
-//! [`ForecastIndex`](gaia_carbon::ForecastIndex), so cost per
-//! submission is proportional to the plan, not the horizon.
+//! incrementally against the perfect forecaster, whose views read the
+//! carbon trace directly, so a submission builds nothing over the
+//! horizon; its cost is the policy's own search.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -126,7 +126,6 @@ fn reallocs_per_submit<S: Sink>(
 ) -> Vec<u64> {
     let carbon = synthesize_region(Region::SouthAustralia, 7);
     let forecaster = PerfectForecaster::new(&carbon);
-    forecaster.warm();
     let config = ClusterConfig::default().with_reserved(0).with_seed(42);
     let engine = OnlineEngine::new(&config, &carbon, &forecaster, sink);
     let mut session = Session::new(engine, PolicySpec::plain(BasePolicyKind::CarbonTime));

@@ -66,8 +66,15 @@ impl EventQueue {
     /// their distinct slack), so neither reallocates while the queue
     /// holds no more than that.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.run.reserve_exact(additional + RUN_SLACK);
+        self.reserve_run(additional);
         self.heap.reserve_exact(additional + HEAP_SLACK);
+    }
+
+    /// Pre-sizes the run lane alone for `additional` more events (plus
+    /// its slack): enough for inserts already sorted by `(time, prio,
+    /// seq)`, which all take the run.
+    pub(crate) fn reserve_run(&mut self, additional: usize) {
+        self.run.reserve_exact(additional + RUN_SLACK);
     }
 
     /// Enqueues one event: onto the run if it sorts after the run's
@@ -119,6 +126,14 @@ impl std::fmt::Debug for EventQueue {
             .field("run", &self.run.len())
             .field("heap", &self.heap.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl EventQueue {
+    /// The run and heap lanes' capacities.
+    pub(crate) fn lane_capacities(&self) -> (usize, usize) {
+        (self.run.capacity(), self.heap.capacity())
     }
 }
 

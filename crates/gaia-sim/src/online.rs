@@ -3,10 +3,11 @@
 //! [`OnlineEngine`] is the discrete-event core extracted from the
 //! trace-driven batch path: it accepts job submissions at arbitrary
 //! sim-times ([`OnlineEngine::submit`]), plans incrementally on arrival
-//! (each decision consults the configured forecaster, which serves
-//! repeated re-plans from one `ForecastIndex`), and steps by explicit
-//! command — [`OnlineEngine::advance_to`] processes every event up to a
-//! target instant, [`OnlineEngine::run_until_idle`] drains the queue.
+//! (each decision consults the configured forecaster through a fresh
+//! `ForecastView`, which reads a perfect forecaster's trace directly),
+//! and steps by explicit command — [`OnlineEngine::advance_to`]
+//! processes every event up to a target instant,
+//! [`OnlineEngine::run_until_idle`] drains the queue.
 //! Sim-time advances only when the caller says so, never by wall clock,
 //! so a service built on top replays deterministically.
 //!

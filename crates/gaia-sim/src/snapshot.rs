@@ -733,8 +733,11 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
             )));
         }
 
+        // The snapshot writes its events sorted, so they all take the
+        // run lane; a forged out-of-order one still restores, through
+        // heap inserts.
         let mut queue = EventQueue::new();
-        queue.reserve(events.len());
+        queue.reserve_run(events.len());
         for event in events {
             queue.insert(event);
         }
@@ -869,6 +872,109 @@ mod tests {
             OnlineEngine::<NullSink>::restore(&other, &trace, &forecaster, &mut sink2, &bytes)
                 .unwrap_err();
         assert!(matches!(err, SnapshotError::Incompatible(_)));
+    }
+
+    /// An engine with `n` jobs submitted at distinct future arrivals and
+    /// none advanced, so every job holds one pending arrival event.
+    fn pending_arrivals<'e>(
+        config: &'e ClusterConfig,
+        trace: &'e CarbonTrace,
+        forecaster: &'e PerfectForecaster<'e>,
+        sink: &'e mut NullSink,
+        n: u64,
+    ) -> OnlineEngine<'e, NullSink> {
+        let mut engine = OnlineEngine::new(config, trace, forecaster, sink);
+        for i in 0..n {
+            let job = Job::new(
+                JobId(i),
+                SimTime::from_minutes(7 * i + 3),
+                Minutes::new(30),
+                1,
+            );
+            engine.submit(job).unwrap();
+        }
+        engine
+    }
+
+    struct RunNow;
+    impl crate::engine::Scheduler for RunNow {
+        fn on_arrival(
+            &mut self,
+            job: &Job,
+            _ctx: &crate::engine::SchedulerContext<'_>,
+        ) -> crate::Decision {
+            crate::Decision::run_at(job.arrival)
+        }
+    }
+
+    /// A snapshot's events are sorted, so restoring one leaves the heap
+    /// lane at the capacity every engine's lanes are seeded with.
+    #[test]
+    fn restored_heap_lane_stays_at_its_stagger_seed() {
+        let config = ClusterConfig::default();
+        let trace = carbon();
+        let forecaster = PerfectForecaster::new(&trace);
+        let mut sink = NullSink;
+        let engine = pending_arrivals(&config, &trace, &forecaster, &mut sink, 5_000);
+        let bytes = engine.snapshot();
+
+        let mut sink2 = NullSink;
+        let restored =
+            OnlineEngine::restore(&config, &trace, &forecaster, &mut sink2, &bytes).unwrap();
+        let mut sink3 = NullSink;
+        let mut seeded = OnlineEngine::new(&config, &trace, &forecaster, &mut sink3);
+        seeded.reserve_jobs(0);
+        let (run, heap) = restored.queue.lane_capacities();
+        assert_eq!(heap, seeded.queue.lane_capacities().1);
+        assert!(run >= 5_000, "the run lane holds every restored event");
+        assert_eq!(restored.snapshot(), bytes);
+    }
+
+    /// A forged snapshot whose first two events are swapped still
+    /// restores: the early event takes the heap lane, and the engine
+    /// snapshots and runs exactly like one restored from the real bytes.
+    #[test]
+    fn out_of_order_snapshot_events_restore_through_the_heap() {
+        let config = ClusterConfig::default();
+        let trace = carbon();
+        let forecaster = PerfectForecaster::new(&trace);
+        let mut sink = NullSink;
+        let engine = pending_arrivals(&config, &trace, &forecaster, &mut sink, 40);
+        let bytes = engine.snapshot();
+
+        let mut events: Vec<Event> = engine.queue.unprocessed().copied().collect();
+        events.sort_by_key(|e| (e.time, e.prio, e.seq));
+        let record = |e: &Event| {
+            let mut w = Writer::new();
+            w.u64(e.time.as_minutes());
+            w.u8(e.prio);
+            w.u64(e.seq);
+            w.u32(e.job);
+            write_event_kind(&mut w, e.kind);
+            w.into_bytes()
+        };
+        let (first, second) = (record(&events[0]), record(&events[1]));
+        let at = bytes
+            .windows(first.len())
+            .position(|w| w == first.as_slice())
+            .expect("the first event is in the snapshot");
+        let mid = at + first.len();
+        assert_eq!(&bytes[mid..mid + second.len()], second.as_slice());
+        let mut forged = bytes[..at].to_vec();
+        forged.extend_from_slice(&second);
+        forged.extend_from_slice(&first);
+        forged.extend_from_slice(&bytes[mid + second.len()..]);
+
+        let (mut sink_a, mut sink_b) = (NullSink, NullSink);
+        let mut real =
+            OnlineEngine::restore(&config, &trace, &forecaster, &mut sink_a, &bytes).unwrap();
+        let mut from_forged =
+            OnlineEngine::restore(&config, &trace, &forecaster, &mut sink_b, &forged).unwrap();
+        assert!(format!("{:?}", from_forged.queue).contains("heap: 1"));
+        assert_eq!(from_forged.snapshot(), bytes);
+        real.run_until_idle(&mut RunNow).unwrap();
+        from_forged.run_until_idle(&mut RunNow).unwrap();
+        assert_eq!(from_forged.snapshot(), real.snapshot());
     }
 
     /// Pins decoder robustness on the committed mixed-state fixture

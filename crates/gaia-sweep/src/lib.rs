@@ -428,49 +428,16 @@ pub struct FaultOptions<'f> {
 }
 
 /// Runs one scenario cell: materializes its traces through `cache`,
-/// builds the queue set and cluster config, and simulates the policy.
-/// Fully deterministic in the scenario's seed.
+/// builds the queue set and cluster config, and simulates the policy
+/// with an optional compiled fault schedule. Returns typed failure
+/// instead of panicking and — when `audit` is set — the invariant-audit
+/// report of the run. Fully deterministic in the scenario's seed.
 ///
-/// # Panics
-///
-/// Panics on an invalid policy decision; use [`run_cell`] for the
-/// failure-isolating variant the sweep drivers use.
-pub fn run_scenario(scenario: &Scenario, cache: &TraceCache) -> Summary {
-    match run_cell(scenario, cache, false) {
-        CellOutcome::Completed { summary, .. } | CellOutcome::Retried { summary, .. } => summary,
-        CellOutcome::Failed { error } => panic!("{error}"),
-    }
-}
-
-/// Runs one scenario cell, returning typed failure instead of panicking
-/// and — when `audit` is set — the invariant-audit report of the run.
-/// Fully deterministic in the scenario's seed.
-pub fn run_cell(scenario: &Scenario, cache: &TraceCache, audit: bool) -> CellOutcome {
-    run_cell_traced(scenario, cache, audit, &mut NullSink, None, None)
-}
-
-/// [`run_cell`] with observability taps: lifecycle events into `sink`,
-/// per-job metrics into `metrics`, and phase timings into `profiler`.
-///
-/// With [`NullSink`] and both options `None` this is exactly
-/// [`run_cell`] — the instrumentation compiles out, and neither metrics
-/// nor profiling can change the outcome, so the determinism contract is
-/// unaffected.
-pub fn run_cell_traced<S: Sink>(
-    scenario: &Scenario,
-    cache: &TraceCache,
-    audit: bool,
-    sink: &mut S,
-    metrics: Option<&MetricsRegistry>,
-    profiler: Option<&Profiler>,
-) -> CellOutcome {
-    run_cell_faulted(scenario, cache, audit, None, sink, metrics, profiler)
-}
-
-/// [`run_cell_traced`] with an optional compiled fault schedule applied
-/// to the cell's simulation. `faults: None` is exactly
-/// [`run_cell_traced`]; an empty schedule is discarded by
-/// [`Simulation::with_faults`], so it too leaves results byte-identical.
+/// Lifecycle events go into `sink`, per-job metrics into `metrics`, and
+/// phase timings into `profiler`; none of them can change the outcome.
+/// `faults: None` and an empty schedule (which
+/// [`Simulation::with_faults`] discards) both leave results
+/// byte-identical.
 ///
 /// Only the engine-level fault specs act here; [`FaultSpec::ChaosCell`]
 /// is a harness-level fault handled by the grid drivers' retry loop.
@@ -1161,55 +1128,6 @@ fn run_grid_engine(
     }
 }
 
-/// Runs the configured sweep twice — serially, then with `workers`
-/// threads — and reports the wall-clock comparison alongside the
-/// parallel run. The results of the two runs are identical by the
-/// determinism contract, so only the parallel run is returned.
-///
-/// Each leg runs on a **fresh, plain** configuration derived from
-/// `runner` — its own trace cache, no result cache, no shard filter —
-/// so the serial and parallel timings both pay full synthesis and
-/// simulation cost and stay comparable (a warm result cache would
-/// reduce the bench to disk-read timing).
-pub fn time_runner(runner: SweepRunner<'_>, workers: usize) -> (SweepRun, TimingBench) {
-    let (grid, audit) = (runner.grid, runner.audit);
-    time_grid_inner(grid, workers, audit)
-}
-
-fn time_grid_inner(grid: &SweepGrid, workers: usize, audit: bool) -> (SweepRun, TimingBench) {
-    let serial = run_grid_engine(
-        grid,
-        &Executor::new(1),
-        &TraceCache::new(),
-        audit,
-        None,
-        None,
-        RetryPolicy::default(),
-        None,
-        None,
-    );
-    let parallel = run_grid_engine(
-        grid,
-        &Executor::new(workers),
-        &TraceCache::new(),
-        audit,
-        None,
-        None,
-        RetryPolicy::default(),
-        None,
-        None,
-    );
-    let serial_secs = serial.wall.as_secs_f64();
-    let parallel_secs = parallel.wall.as_secs_f64();
-    let bench = TimingBench {
-        serial_secs,
-        parallel_secs,
-        workers: parallel.workers,
-        speedup: serial_secs / parallel_secs,
-    };
-    (parallel, bench)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1220,7 +1138,10 @@ mod tests {
         let grid = SweepGrid::week(9);
         let scenario = grid.scenarios()[0];
         let cache = TraceCache::new();
-        let sweep = run_scenario(&scenario, &cache);
+        let outcome = run_cell_faulted(&scenario, &cache, false, None, &mut NullSink, None, None);
+        let CellOutcome::Completed { summary: sweep, .. } = outcome else {
+            panic!("the cell completes: {outcome:?}");
+        };
 
         let carbon = gaia_carbon::synth::synthesize_region(scenario.region, scenario.seed);
         let workload = scenario.family.week_long_1k(scenario.seed);

@@ -33,7 +33,7 @@ use crate::agg::GroupSummary;
 use crate::SweepRun;
 
 /// Serial-vs-parallel wall-clock comparison on the same grid, recorded
-/// in the run manifest by [`crate::time_runner`].
+/// in the run manifest by `gaia sweep --bench`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingBench {
     /// Wall-clock of the 1-worker run, seconds.

@@ -85,7 +85,21 @@ impl Iterator for HourlySlots {
         self.cursor = slot_end;
         Some(span)
     }
+
+    /// Exact: one span per hour that `[cursor, end)` touches, so
+    /// collecting the spans allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = if self.cursor >= self.end {
+            0
+        } else {
+            (self.end.as_minutes().div_ceil(MINUTES_PER_HOUR) - self.cursor.as_hours_floor())
+                as usize
+        };
+        (n, Some(n))
+    }
 }
+
+impl ExactSizeIterator for HourlySlots {}
 
 #[cfg(test)]
 mod tests {
@@ -114,6 +128,27 @@ mod tests {
         );
         assert!(spans.iter().all(|s| s.overlap == Minutes::from_hours(1)));
         assert_eq!(total(&spans), Minutes::from_hours(3));
+    }
+
+    #[test]
+    fn size_hint_is_exact_at_every_step() {
+        for start in [0u64, 1, 30, 59, 60, 61, 119, 1_000] {
+            for len in [0u64, 1, 29, 59, 60, 61, 90, 120, 121, 1_441] {
+                let mut slots =
+                    HourlySlots::spanning(SimTime::from_minutes(start), Minutes::new(len));
+                loop {
+                    let left = slots.clone().count();
+                    assert_eq!(
+                        slots.size_hint(),
+                        (left, Some(left)),
+                        "start={start} len={len}"
+                    );
+                    if slots.next().is_none() {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]
