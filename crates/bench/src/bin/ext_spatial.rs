@@ -1,16 +1,17 @@
 //! Extension: spatial + temporal shifting (the paper's §9 future work:
-//! "evaluate them in geographically federated clusters"). Each arriving
-//! job is greedily placed in the region whose greenest reachable window
-//! is cleanest, then scheduled temporally there with Carbon-Time.
+//! "evaluate them in geographically federated clusters"). One
+//! [`run_placed`] call sends each arriving job to the region whose
+//! greenest window reachable within its waiting budget is cleanest, with
+//! data movement free, then schedules it there with Carbon-Time.
 
 use bench::{banner, carbon, week_billing, week_trace};
 use gaia_carbon::{CarbonTrace, Region};
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
+use gaia_core::placement::{PlacementSpec, TransferModel};
+use gaia_metrics::placed::run_placed;
 use gaia_metrics::runner;
 use gaia_metrics::table::TextTable;
 use gaia_sim::ClusterConfig;
-use gaia_time::Minutes;
-use gaia_workload::{QueueSet, WorkloadTrace};
 
 fn main() {
     banner(
@@ -20,8 +21,9 @@ fn main() {
          then scheduled there by Carbon-Time. Spatial shifting pays when the\n\
          regions' solar valleys are out of phase, so the federation pairs\n\
          South Australia (UTC+9.5) with California (UTC-8) — when one's sun\n\
-         is down, the other's is up. Compared against running the whole\n\
-         workload in each single region. (Week-long Alibaba-PAI.)",
+         is down, the other's is up. Moving a job costs nothing here.\n\
+         Compared against running the whole workload in each single region.\n\
+         (Week-long Alibaba-PAI.)",
     );
     let regions = [Region::SouthAustralia, Region::California];
     // Express each trace on the cluster's (SA-local) clock: California's
@@ -31,8 +33,8 @@ fn main() {
         carbon(Region::California).rotate(18),
     ];
     let workload = week_trace();
-    let queues = QueueSet::paper_defaults().with_averages_from(workload.jobs());
     let config = ClusterConfig::default().with_billing_horizon(week_billing());
+    let spec = PolicySpec::plain(BasePolicyKind::CarbonTime);
 
     let mut table = TextTable::new(vec![
         "placement",
@@ -44,12 +46,7 @@ fn main() {
     // Single-region references.
     let mut single: Vec<(Region, f64, f64)> = Vec::new();
     for (region, ci) in regions.iter().zip(&traces) {
-        let summary = runner::run_spec(
-            PolicySpec::plain(BasePolicyKind::CarbonTime),
-            &workload,
-            ci,
-            config,
-        );
+        let summary = runner::run_spec(spec, &workload, ci, config);
         single.push((*region, summary.carbon_g, summary.mean_wait_hours));
     }
     let best_single = single
@@ -57,46 +54,18 @@ fn main() {
         .map(|&(_, c, _)| c)
         .fold(f64::INFINITY, f64::min);
 
-    // Greedy placement: region with the lowest best reachable window
-    // average for this job's estimated length within its waiting budget.
-    let mut per_region: Vec<Vec<gaia_workload::Job>> = vec![Vec::new(); regions.len()];
-    for job in &workload {
-        let wait = queues.max_wait_for(job);
-        let estimate = queues.avg_length(queues.classify(job));
-        let best = traces
-            .iter()
-            .enumerate()
-            .map(|(i, ci)| {
-                let (_, avg) = ci.min_window_start(
-                    job.arrival,
-                    wait.max(Minutes::from_hours(1)),
-                    estimate,
-                    Minutes::new(30),
-                );
-                (i, avg)
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("at least one region");
-        per_region[best.0].push(*job);
-    }
-
-    let mut total_carbon = 0.0;
-    let mut weighted_wait = 0.0;
-    for (jobs, ci) in per_region.iter().zip(&traces) {
-        if jobs.is_empty() {
-            continue;
-        }
-        let sub = WorkloadTrace::from_jobs(jobs.clone());
-        let summary = runner::run_spec(
-            PolicySpec::plain(BasePolicyKind::CarbonTime),
-            &sub,
-            ci,
-            config,
-        );
-        total_carbon += summary.carbon_g;
-        weighted_wait += summary.mean_wait_hours * jobs.len() as f64;
-    }
-    let federated_wait = weighted_wait / workload.len() as f64;
+    let refs: Vec<(Region, &CarbonTrace)> = regions.iter().copied().zip(&traces).collect();
+    let placement = PlacementSpec::federated(regions[0])
+        .with_candidates(&regions)
+        .with_model(TransferModel {
+            gb_per_cpu: 0.0,
+            cost_per_gb: 0.0,
+            carbon_g_per_gb: 0.0,
+            minutes_per_1000km: 0.0,
+        });
+    let placed = run_placed(spec, &workload, &refs, &placement, config);
+    let total_carbon = placed.report.totals.carbon_g;
+    let federated_wait = placed.report.totals.mean_waiting().as_hours_f64();
 
     for (region, carbon_g, wait) in &single {
         table.row(vec![
@@ -115,12 +84,11 @@ fn main() {
     println!("{table}");
     let shares: Vec<String> = regions
         .iter()
-        .zip(&per_region)
-        .map(|(r, jobs)| {
+        .map(|&r| {
             format!(
                 "{}: {:.0}%",
                 r.code(),
-                jobs.len() as f64 * 100.0 / workload.len() as f64
+                placed.placement.jobs_in(r).len() as f64 * 100.0 / workload.len() as f64
             )
         })
         .collect();

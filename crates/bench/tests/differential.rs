@@ -132,6 +132,7 @@ proptest! {
 
     /// The core differential property: reports equal, trace streams
     /// byte-identical.
+    #[test]
     fn columnar_engine_matches_oracle(
         trace in trace_strategy(),
         carbon in carbon_strategy(),
@@ -153,6 +154,7 @@ proptest! {
     /// Regression for the tail-latency fix: pre-reserving columns (the
     /// staggered `reserve_jobs` ladder) is a pure capacity hint — it
     /// must not change a single report field or trace byte.
+    #[test]
     fn pre_reservation_is_behaviour_neutral(
         trace in trace_strategy(),
         carbon in carbon_strategy(),

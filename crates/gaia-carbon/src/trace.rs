@@ -347,49 +347,6 @@ impl CarbonTrace {
     pub fn max(&self) -> GramsPerKwh {
         self.values.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Finds, among candidate start times `start + k·step` (for
-    /// `k = 0, 1, ...` while the candidate is `< start + horizon`), the one
-    /// minimizing the average CI over a window of `window` minutes, and
-    /// returns `(best_start, best_avg)`.
-    ///
-    /// The averages come from one [`CarbonTrace::window_integrals`] scan.
-    /// The search starts at the first candidate; a later one replaces the
-    /// current best only if its average is lower by more than `1e-12`.
-    /// Exact ties and near-ties inside that margin keep the earlier
-    /// candidate, which keeps waiting times low when several windows are
-    /// equally green (the paper's motivation for performance-aware
-    /// policies, §3). The margin is measured against the current best,
-    /// so averages that fall in steps below it can still move the choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` or `window` is zero, or `horizon` is zero.
-    pub fn min_window_start(
-        &self,
-        start: SimTime,
-        horizon: Minutes,
-        window: Minutes,
-        step: Minutes,
-    ) -> (SimTime, GramsPerKwh) {
-        assert!(!step.is_zero(), "step must be positive");
-        assert!(!window.is_zero(), "window must be positive");
-        assert!(!horizon.is_zero(), "horizon must be positive");
-        let count = horizon.as_minutes().div_ceil(step.as_minutes());
-        let hours = window.as_hours_f64();
-        let mut best_t = start;
-        let mut best_avg = f64::INFINITY;
-        let mut t = start;
-        for integral in self.window_integrals(start, step, window, count) {
-            let avg = integral / hours;
-            if avg < best_avg - 1e-12 {
-                best_avg = avg;
-                best_t = t;
-            }
-            t += step;
-        }
-        (best_t, best_avg)
-    }
 }
 
 /// A window length split into the parts [`CarbonTrace::integral_at`]
@@ -573,32 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn min_window_start_finds_valley() {
-        // Valley at hours 3-4.
-        let t = trace(&[300.0, 280.0, 250.0, 100.0, 110.0, 290.0]);
-        let (best, avg) = t.min_window_start(
-            SimTime::ORIGIN,
-            Minutes::from_hours(6),
-            Minutes::from_hours(2),
-            Minutes::from_hours(1),
-        );
-        assert_eq!(best, SimTime::from_hours(3));
-        assert!((avg - 105.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_window_ties_prefer_earliest() {
-        let t = trace(&[100.0, 100.0, 100.0, 100.0]);
-        let (best, _) = t.min_window_start(
-            SimTime::ORIGIN,
-            Minutes::from_hours(4),
-            Minutes::from_hours(1),
-            Minutes::from_hours(1),
-        );
-        assert_eq!(best, SimTime::ORIGIN);
-    }
-
-    #[test]
     fn rotation_shifts_origin_and_wraps() {
         let t = trace(&[1.0, 2.0, 3.0, 4.0]);
         let r = t.rotate(1);
@@ -676,5 +607,35 @@ mod tests {
             t.with_gaps_bridged(&[(u64::MAX, 2)]),
             Err(CarbonError::InvalidGap { .. })
         ));
+    }
+
+    #[test]
+    fn window_integral_scans_at_the_edges() {
+        let trace = CarbonTrace::from_hourly(vec![100.0, 300.0, 200.0]).unwrap();
+        let start = SimTime::from_minutes(95);
+        let len = Minutes::new(130);
+        assert_eq!(
+            trace
+                .window_integrals(start, Minutes::new(7), len, 0)
+                .count(),
+            0
+        );
+        assert!(trace
+            .window_integrals(start, Minutes::new(7), Minutes::ZERO, 4)
+            .all(|v| v == 0.0));
+        // A step of whole trace periods lands on the same phase each time.
+        let one = trace.window_integral(start, len);
+        let periodic: Vec<f64> = trace
+            .window_integrals(start, Minutes::from_hours(6), len, 3)
+            .collect();
+        assert!(periodic.iter().all(|v| v.to_bits() == one.to_bits()));
+    }
+
+    #[test]
+    #[should_panic(expected = "window_avg over an empty window")]
+    fn window_avg_rejects_an_empty_window() {
+        CarbonTrace::constant(1.0, 2)
+            .unwrap()
+            .window_avg(SimTime::ORIGIN, Minutes::ZERO);
     }
 }

@@ -41,28 +41,6 @@ proptest! {
         prop_assert!((whole - parts).abs() < 1e-6 * (1.0 + whole.abs()));
     }
 
-    /// The best window found by scanning is at least as good as any
-    /// hour-aligned candidate, and lies within the scan range.
-    #[test]
-    fn min_window_start_is_optimal_over_scan_grid(
-        trace in trace_strategy(),
-        start_h in 0u64..100,
-        window_h in 1u64..12,
-    ) {
-        let start = SimTime::from_hours(start_h);
-        let horizon = Minutes::from_hours(24);
-        let window = Minutes::from_hours(window_h);
-        let (best_t, best_avg) =
-            trace.min_window_start(start, horizon, window, Minutes::from_hours(1));
-        prop_assert!(best_t >= start);
-        prop_assert!(best_t < start + horizon);
-        for k in 0..24u64 {
-            let cand = start + Minutes::from_hours(k);
-            prop_assert!(best_avg <= trace.window_avg(cand, window) + 1e-9);
-        }
-        prop_assert!((trace.window_avg(best_t, window) - best_avg).abs() < 1e-9);
-    }
-
     /// Greedy greenest-slot plans, as policies read them through a
     /// perfect forecast view, cover exactly the requested work with
     /// ordered, non-overlapping segments, and never emit more carbon than

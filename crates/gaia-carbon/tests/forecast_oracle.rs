@@ -12,7 +12,7 @@
 //!
 //! The trace's window integral and its batched scan are checked against
 //! [`oracle_window_integral`], the pre-scan `window_integral` kept
-//! verbatim, and `min_window_start` against its per-candidate loop.
+//! verbatim.
 
 use gaia_carbon::synth::synthesize_region;
 use gaia_carbon::{
@@ -109,29 +109,6 @@ fn oracle_window_integral(trace: &CarbonTrace, start: SimTime, len: Minutes) -> 
     total
 }
 
-/// The pre-scan `CarbonTrace::min_window_start`: one average per
-/// candidate, replaced only when lower by more than `1e-12`.
-fn oracle_min_window_start(
-    trace: &CarbonTrace,
-    start: SimTime,
-    horizon: Minutes,
-    window: Minutes,
-    step: Minutes,
-) -> (SimTime, f64) {
-    let mut best_t = start;
-    let mut best_avg = f64::INFINITY;
-    let mut t = start;
-    while t < start + horizon {
-        let avg = oracle_window_integral(trace, t, window) / window.as_hours_f64();
-        if avg < best_avg - 1e-12 {
-            best_avg = avg;
-            best_t = t;
-        }
-        t += step;
-    }
-    (best_t, best_avg)
-}
-
 /// Asserts that the scan, the single-window integral and the oracle
 /// agree bit for bit on every candidate of one scan.
 fn assert_scan_matches(
@@ -209,24 +186,6 @@ proptest! {
             Minutes::new(len),
             count,
         );
-    }
-
-    /// `min_window_start`, now served by the scan, picks the same start
-    /// and average as its per-candidate loop.
-    #[test]
-    fn min_window_start_matches_per_candidate_loop(
-        trace in short_trace_strategy(),
-        start in 0u64..20_000,
-        horizon in 1u64..3_000,
-        window in 1u64..3_000,
-        step in 1u64..200,
-    ) {
-        let start = SimTime::from_minutes(start);
-        let (horizon, window, step) = (Minutes::new(horizon), Minutes::new(window), Minutes::new(step));
-        let (t, avg) = trace.min_window_start(start, horizon, window, step);
-        let (want_t, want_avg) = oracle_min_window_start(&trace, start, horizon, window, step);
-        prop_assert_eq!(t, want_t);
-        prop_assert_eq!(avg.to_bits(), want_avg.to_bits());
     }
 
     /// Every view backend's batched scan equals its own per-candidate

@@ -410,3 +410,103 @@ fn write_csv(
         .flush()
         .map_err(|e| format!("cannot flush {path}: {e}"))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gaia_workload::{Job, JobId};
+
+    #[test]
+    fn policy_names_carry_the_capacity_prefixes() {
+        let mut options = Options {
+            policy: PolicyChoice::CarbonTax,
+            ..Options::default()
+        };
+        assert_eq!(policy_name(&options), "Carbon-Tax");
+        options.res_first = true;
+        assert_eq!(policy_name(&options), "RES-First-Carbon-Tax");
+        options.spot_j_max = Some(Minutes::from_hours(2));
+        assert_eq!(policy_name(&options), "Spot-RES-Carbon-Tax");
+        options.res_first = false;
+        options.policy = PolicyChoice::CarbonTimeSr;
+        assert_eq!(policy_name(&options), "Spot-First-Carbon-Time-SR");
+
+        // Base policies take their name from the catalog.
+        let base = Options {
+            res_first: true,
+            ..Options::default()
+        };
+        let spec = PolicySpec {
+            base: BasePolicyKind::CarbonTime,
+            res_first: true,
+            spot: None,
+        };
+        assert_eq!(policy_name(&base), spec.name());
+    }
+
+    #[test]
+    fn billing_covers_whole_days_plus_two_of_slack() {
+        let trace = |end_min: u64| {
+            WorkloadTrace::from_jobs(vec![Job::new(
+                JobId(0),
+                gaia_time::SimTime::ORIGIN,
+                Minutes::new(end_min),
+                1,
+            )])
+        };
+        assert_eq!(billing_horizon(&trace(1)), Minutes::from_days(3));
+        assert_eq!(billing_horizon(&trace(24 * 60)), Minutes::from_days(3));
+        assert_eq!(billing_horizon(&trace(24 * 60 + 1)), Minutes::from_days(4));
+        assert_eq!(
+            billing_horizon(&WorkloadTrace::from_jobs(Vec::new())),
+            Minutes::from_days(2)
+        );
+    }
+
+    #[test]
+    fn missing_input_files_are_reported_by_path() {
+        let missing = "no/such/dir/input.csv".to_string();
+        let options = Options {
+            carbon_csv: Some(missing.clone()),
+            workload_csv: Some(missing.clone()),
+            faults: Some(missing.clone()),
+            ..Options::default()
+        };
+        let err = load_carbon(&options).unwrap_err();
+        assert!(err.starts_with(&format!("cannot open {missing}")), "{err}");
+        let err = load_workload(&options).unwrap_err();
+        assert!(err.starts_with(&format!("cannot open {missing}")), "{err}");
+        let err = load_faults(&options).unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot load fault plan {missing}")),
+            "{err}"
+        );
+        let err = write_csv(&missing, |_| Ok(())).unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot create {missing}")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn default_inputs_are_synthesized_from_the_seed() {
+        let options = Options::default();
+        assert!(load_faults(&options).unwrap().is_none());
+        assert_eq!(
+            load_carbon(&options).unwrap(),
+            synthesize_region(options.region, options.seed)
+        );
+        let week = load_workload(&options).unwrap();
+        assert_eq!(week, TraceFamily::AlibabaPai.week_long_1k(options.seed));
+        let section3 = Options {
+            trace: TraceChoice::Section3,
+            scale: Scale::Year,
+            ..Options::default()
+        };
+        assert_eq!(
+            load_workload(&section3).unwrap(),
+            section3_workload(options.seed),
+            "the section-3 workload ignores the scale"
+        );
+    }
+}

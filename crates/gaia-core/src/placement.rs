@@ -286,4 +286,59 @@ mod tests {
         assert_eq!(p.jobs_in(Region::Ontario), vec![1]);
         assert_eq!(p.jobs_in(Region::Kentucky), Vec::<usize>::new());
     }
+
+    #[test]
+    fn a_zero_cost_model_moves_for_free() {
+        let free = TransferModel {
+            gb_per_cpu: 0.0,
+            cost_per_gb: 0.0,
+            carbon_g_per_gb: 0.0,
+            minutes_per_1000km: 0.0,
+        };
+        for from in Region::ALL {
+            for to in Region::ALL {
+                assert_eq!(
+                    free.penalty(&job(16), from, to),
+                    TransferPenalty::NONE,
+                    "{from} -> {to}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn latency_is_symmetric_and_rounds_up_to_whole_minutes() {
+        let model = TransferModel {
+            minutes_per_1000km: 0.001,
+            ..TransferModel::default()
+        };
+        // Any distinct pair is more than zero km apart, so a tiny rate
+        // still costs one whole minute.
+        assert_eq!(
+            model.latency(Region::Sweden, Region::Netherlands),
+            Minutes::new(1)
+        );
+        let model = TransferModel::default();
+        for a in Region::ALL {
+            for b in Region::ALL {
+                assert_eq!(model.latency(a, b), model.latency(b, a));
+                let exact = a.distance_km(b) / 1000.0 * model.minutes_per_1000km;
+                let whole = model.latency(a, b).as_minutes() as f64;
+                assert!(whole >= exact && whole < exact + 1.0, "{a} -> {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn with_model_replaces_only_the_transfer_economics() {
+        let model = TransferModel {
+            gb_per_cpu: 0.5,
+            ..TransferModel::default()
+        };
+        let base = PlacementSpec::federated(Region::Ontario).with_candidates(&[Region::California]);
+        let spec = base.clone().with_model(model);
+        assert_eq!(spec.model, model);
+        assert_eq!((spec.home, &spec.candidates), (base.home, &base.candidates));
+        assert_eq!(base.model, TransferModel::default());
+    }
 }

@@ -53,6 +53,7 @@ fn multiplier_bits(spec: &FaultSpec) -> Option<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    #[test]
     fn fault_plan_round_trips_bit_identically(
         raw in collection::vec(
             (0u8..6, 0u64..20_000, 1u64..5_000, 0.1f64..32.0, 1u64..5, 0usize..4),

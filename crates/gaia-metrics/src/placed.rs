@@ -36,12 +36,12 @@ use gaia_core::catalog::PolicySpec;
 use gaia_core::placement::{Placement, PlacementSpec};
 use gaia_sim::{
     audit_report, AllocationTimeline, AuditInvariant, AuditReport, AuditViolation, ClusterConfig,
-    ClusterTotals, JobOutcome, SimError, SimReport, TransferStats,
+    ClusterTotals, JobOutcome, SimReport, TransferStats,
 };
 use gaia_time::{Minutes, SimTime, MINUTES_PER_HOUR};
 use gaia_workload::{Job, QueueSet, WorkloadTrace};
 
-use crate::runner::{default_queues, try_run_spec_report_with_queues};
+use crate::runner::{default_queues, run_spec_report_with_queues};
 
 /// One region's share of a placed run.
 #[derive(Debug, Clone, PartialEq)]
@@ -118,23 +118,6 @@ pub fn run_placed(
     placement: &PlacementSpec,
     config: ClusterConfig,
 ) -> PlacedReport {
-    try_run_placed(spec, trace, traces, placement, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_placed`] returning invalid policy decisions as a typed
-/// [`SimError`] instead of panicking.
-///
-/// # Panics
-///
-/// Panics if a candidate region has no carbon trace in `traces` (a
-/// configuration error, not a simulation outcome).
-pub fn try_run_placed(
-    spec: PolicySpec,
-    trace: &WorkloadTrace,
-    traces: &[(Region, &CarbonTrace)],
-    placement: &PlacementSpec,
-    config: ClusterConfig,
-) -> Result<PlacedReport, SimError> {
     let queues = default_queues(trace);
     let assignment = assign_regions(
         trace,
@@ -170,7 +153,7 @@ pub fn try_run_placed(
             .collect();
         let region_trace = WorkloadTrace::from_jobs(shifted);
         let carbon = trace_for(traces, candidate);
-        let report = try_run_spec_report_with_queues(spec, &region_trace, carbon, config, queues)?;
+        let report = run_spec_report_with_queues(spec, &region_trace, carbon, config, queues);
         regions.push(RegionRun {
             region: candidate,
             report,
@@ -183,11 +166,11 @@ pub fn try_run_placed(
         home: placement.home,
     };
     let report = merge(trace, placement, &placement_result, &regions, &config);
-    Ok(PlacedReport {
+    PlacedReport {
         placement: placement_result,
         regions,
         report,
-    })
+    }
 }
 
 /// Scores every job against every candidate region and returns the
@@ -440,6 +423,7 @@ mod tests {
     use crate::runner::run_spec_report;
     use gaia_carbon::synth::synthesize_region;
     use gaia_core::catalog::BasePolicyKind;
+    use gaia_core::placement::TransferModel;
     use gaia_workload::synth::TraceFamily;
     use proptest::prelude::*;
 
@@ -657,5 +641,275 @@ mod tests {
         placed.report.transfer.cost += 1.0;
         let audit = audit_placed(&placed, &trace, &refs, &spec, &config);
         assert!(!audit.is_clean(), "tampered transfer stats must be caught");
+    }
+
+    /// A model under which moving a job costs nothing.
+    fn free_model() -> TransferModel {
+        TransferModel {
+            gb_per_cpu: 0.0,
+            cost_per_gb: 0.0,
+            carbon_g_per_gb: 0.0,
+            minutes_per_1000km: 0.0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no carbon trace supplied for candidate region")]
+    fn a_candidate_without_a_trace_panics() {
+        let trace = week_trace();
+        let carbon = synthesize_region(Region::California, 42);
+        let spec = PlacementSpec::federated(Region::California)
+            .with_candidates(&[Region::California, Region::Sweden]);
+        run_placed(
+            PolicySpec::plain(BasePolicyKind::NoWait),
+            &trace,
+            &[(Region::California, &carbon)],
+            &spec,
+            ClusterConfig::default(),
+        );
+    }
+
+    #[test]
+    fn identical_traces_keep_every_job_home() {
+        let trace = week_trace();
+        let carbon = synthesize_region(Region::Ontario, 42);
+        let refs = [(Region::Ontario, &carbon), (Region::Sweden, &carbon)];
+        // Even with free moves, a tie keeps the earlier candidate, and
+        // home comes first; a region that gets no jobs is not run.
+        let spec = PlacementSpec::federated(Region::Ontario)
+            .with_candidates(&[Region::Ontario, Region::Sweden])
+            .with_model(free_model());
+        let placed = run_placed(
+            PolicySpec::plain(BasePolicyKind::CarbonTime),
+            &trace,
+            &refs,
+            &spec,
+            ClusterConfig::default(),
+        );
+        assert_eq!(placed.placement.moved(), 0);
+        assert_eq!(placed.regions.len(), 1);
+        assert_eq!(placed.regions[0].region, Region::Ontario);
+        assert!(placed.report.transfer.is_zero());
+    }
+
+    #[test]
+    fn merged_totals_are_the_sum_of_the_region_totals() {
+        let trace = week_trace();
+        // Out-of-phase solar valleys split the workload between regions.
+        let south = synthesize_region(Region::SouthAustralia, 42);
+        let west = synthesize_region(Region::California, 42).rotate(18);
+        let refs = [
+            (Region::SouthAustralia, &south),
+            (Region::California, &west),
+        ];
+        let spec = PlacementSpec::federated(Region::SouthAustralia)
+            .with_candidates(&[Region::SouthAustralia, Region::California])
+            .with_model(free_model());
+        let config = ClusterConfig::default().with_reserved(6);
+        let placed = run_placed(
+            PolicySpec::plain(BasePolicyKind::CarbonTime),
+            &trace,
+            &refs,
+            &spec,
+            config,
+        );
+        assert!(placed.regions.len() > 1, "the test needs a split workload");
+        let t = &placed.report.totals;
+        let sum = |f: fn(&ClusterTotals) -> f64| -> f64 {
+            placed.regions.iter().map(|r| f(&r.report.totals)).sum()
+        };
+        assert_eq!(t.carbon_g, sum(|t| t.carbon_g));
+        assert_eq!(t.cost_reserved_prepaid, sum(|t| t.cost_reserved_prepaid));
+        assert_eq!(t.cost_on_demand, sum(|t| t.cost_on_demand));
+        assert_eq!(t.reserved_cpu_hours, sum(|t| t.reserved_cpu_hours));
+        assert_eq!(t.jobs, trace.len());
+        let horizon = placed
+            .regions
+            .iter()
+            .map(|r| r.report.totals.billing_horizon)
+            .max()
+            .unwrap();
+        assert_eq!(t.billing_horizon, horizon);
+        let merged_hours = placed.report.timeline.hours();
+        for h in 0..merged_hours {
+            let parts: f64 = placed
+                .regions
+                .iter()
+                .map(|r| r.report.timeline.total_at(h))
+                .sum();
+            assert!((placed.report.timeline.total_at(h) - parts).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn moved_jobs_wait_for_their_data() {
+        let trace = week_trace();
+        let home = Region::Kentucky;
+        let traces: Vec<_> = [home, Region::Sweden]
+            .into_iter()
+            .map(|r| (r, synthesize_region(r, 42)))
+            .collect();
+        let refs: Vec<_> = traces.iter().map(|(r, t)| (*r, t)).collect();
+        let spec = PlacementSpec::federated(home).with_candidates(&[home, Region::Sweden]);
+        let placed = run_placed(
+            PolicySpec::plain(BasePolicyKind::NoWait),
+            &trace,
+            &refs,
+            &spec,
+            ClusterConfig::default(),
+        );
+        let latency = spec.model.latency(home, Region::Sweden);
+        assert!(latency > Minutes::ZERO);
+        assert!(placed.placement.moved() > 0);
+        for run in &placed.regions {
+            let charge = if run.region == home {
+                Minutes::ZERO
+            } else {
+                latency
+            };
+            for (local, outcome) in run.report.jobs.iter().enumerate() {
+                let original = run.job_ids[local];
+                let merged = &placed.report.jobs[original];
+                assert_eq!(outcome.job.arrival, trace.jobs()[original].arrival + charge);
+                assert_eq!(merged.waiting, outcome.waiting + charge);
+                assert_eq!(merged.completion, outcome.completion + charge);
+            }
+        }
+        assert_eq!(
+            placed.report.transfer.latency_minutes,
+            latency.as_minutes() * placed.placement.moved() as u64
+        );
+    }
+
+    #[test]
+    fn free_moves_are_counted_but_not_billed() {
+        let trace = week_trace();
+        let placement = Placement {
+            regions: trace
+                .jobs()
+                .iter()
+                .map(|j| {
+                    if j.id.0 % 3 == 0 {
+                        Region::Sweden
+                    } else {
+                        Region::Ontario
+                    }
+                })
+                .collect(),
+            home: Region::Ontario,
+        };
+        let free = PlacementSpec::federated(Region::Ontario).with_model(free_model());
+        let stats = transfer_stats(&trace, &free, &placement);
+        assert_eq!(stats.jobs_moved as usize, placement.moved());
+        assert_eq!(
+            (
+                stats.gigabytes,
+                stats.cost,
+                stats.carbon_g,
+                stats.latency_minutes
+            ),
+            (0.0, 0.0, 0.0, 0)
+        );
+        let billed = transfer_stats(
+            &trace,
+            &PlacementSpec::federated(Region::Ontario),
+            &placement,
+        );
+        assert_eq!(billed.jobs_moved, stats.jobs_moved);
+        assert!(billed.gigabytes > 0.0 && billed.latency_minutes > 0);
+    }
+
+    #[test]
+    fn audit_catches_a_job_dropped_from_its_region() {
+        let trace = week_trace();
+        let traces: Vec<_> = [Region::California, Region::Sweden]
+            .into_iter()
+            .map(|r| (r, synthesize_region(r, 42)))
+            .collect();
+        let refs: Vec<_> = traces.iter().map(|(r, t)| (*r, t)).collect();
+        let spec = PlacementSpec::federated(Region::California)
+            .with_candidates(&[Region::California, Region::Sweden]);
+        let config = ClusterConfig::default();
+        let mut placed = run_placed(
+            PolicySpec::plain(BasePolicyKind::NoWait),
+            &trace,
+            &refs,
+            &spec,
+            config,
+        );
+        placed.regions[0].job_ids.pop();
+        let audit = audit_placed(&placed, &trace, &refs, &spec, &config);
+        assert!(
+            audit
+                .violations
+                .iter()
+                .any(|v| v.detail.starts_with("placed ") && v.detail.contains("trace has")),
+            "{:?}",
+            audit.violations
+        );
+    }
+
+    #[test]
+    fn extend_lanes_pads_to_the_longer_timeline() {
+        let mut into = AllocationTimeline {
+            reserved: vec![1.0],
+            on_demand: vec![0.5],
+            spot: vec![0.0],
+        };
+        let from = AllocationTimeline {
+            reserved: vec![2.0, 3.0],
+            on_demand: vec![0.0, 1.0],
+            spot: vec![0.25, 0.0],
+        };
+        extend_lanes(&mut into, &from);
+        assert_eq!(into.reserved, vec![3.0, 3.0]);
+        assert_eq!(into.on_demand, vec![0.5, 1.0]);
+        assert_eq!(into.spot, vec![0.25, 0.0]);
+        // A shorter timeline adds into the prefix and leaves the rest.
+        extend_lanes(&mut into, &AllocationTimeline::default());
+        assert_eq!(into.hours(), 2);
+    }
+
+    #[test]
+    fn greenest_integral_without_a_budget_is_the_arrival_window() {
+        let carbon = CarbonTrace::from_hourly(vec![500.0, 100.0, 100.0, 900.0]).unwrap();
+        let at = SimTime::from_minutes(30);
+        let len = Minutes::from_hours(1);
+        assert_eq!(
+            greenest_integral(&carbon, at, len, Minutes::ZERO),
+            carbon.window_integral(at, len)
+        );
+        // Half an hour of budget reaches the all-100 window at 60 min,
+        // which is not on the hourly grid from `at`.
+        assert_eq!(
+            greenest_integral(&carbon, at, len, Minutes::new(30)),
+            carbon.window_integral(SimTime::from_minutes(60), len)
+        );
+    }
+
+    #[test]
+    fn traces_for_non_candidates_are_ignored() {
+        let trace = week_trace();
+        let home = synthesize_region(Region::California, 42);
+        let other = synthesize_region(Region::SouthAustralia, 42);
+        let spec = PolicySpec::plain(BasePolicyKind::CarbonTime);
+        let config = ClusterConfig::default();
+        let placed = run_placed(
+            spec,
+            &trace,
+            &[
+                (Region::SouthAustralia, &other),
+                (Region::California, &home),
+            ],
+            &PlacementSpec::single(Region::California),
+            config,
+        );
+        assert_eq!(placed.regions.len(), 1);
+        assert_eq!(placed.regions[0].region, Region::California);
+        assert_eq!(
+            placed.report,
+            run_spec_report(spec, &trace, &home, config),
+            "the extra South Australia trace must not be read"
+        );
     }
 }

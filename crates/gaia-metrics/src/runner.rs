@@ -38,17 +38,6 @@ pub fn run_spec_report_with_queues(
         .into_report()
 }
 
-/// Like [`run_spec_report`] but returns invalid policy decisions as a
-/// typed [`SimError`] instead of panicking.
-pub fn try_run_spec_report(
-    spec: PolicySpec,
-    trace: &WorkloadTrace,
-    carbon: &CarbonTrace,
-    config: ClusterConfig,
-) -> Result<SimReport, SimError> {
-    try_run_spec_report_with_queues(spec, trace, carbon, config, default_queues(trace))
-}
-
 /// Like [`run_spec_report_with_queues`] but returns invalid policy
 /// decisions as a typed [`SimError`] instead of panicking — the variant
 /// sweeps use so one malformed cell fails alone.
@@ -62,29 +51,6 @@ pub fn try_run_spec_report_with_queues(
     let mut scheduler = spec.build(queues);
     Simulation::new(config, carbon)
         .runner(trace, &mut scheduler)
-        .execute()
-        .map(SimRun::into_report)
-}
-
-/// Like [`try_run_spec_report_with_queues`] but emits lifecycle events
-/// into `sink` and, when given, phase timings into `profiler`. With
-/// [`gaia_sim::NullSink`] this is exactly the untraced variant.
-pub fn try_run_spec_report_traced_with_queues<S: gaia_sim::Sink>(
-    spec: PolicySpec,
-    trace: &WorkloadTrace,
-    carbon: &CarbonTrace,
-    config: ClusterConfig,
-    queues: QueueSet,
-    sink: &mut S,
-    profiler: Option<&gaia_sim::Profiler>,
-) -> Result<SimReport, SimError> {
-    let mut scheduler = spec.build(queues);
-    let mut sim = Simulation::new(config, carbon);
-    if let Some(profiler) = profiler {
-        sim = sim.with_profiler(profiler);
-    }
-    sim.runner(trace, &mut scheduler)
-        .sink(sink)
         .execute()
         .map(SimRun::into_report)
 }
@@ -122,6 +88,8 @@ pub fn default_queues(trace: &WorkloadTrace) -> QueueSet {
 mod tests {
     use super::*;
     use gaia_core::catalog::BasePolicyKind;
+    use gaia_time::Minutes;
+    use gaia_workload::QueueKind;
 
     fn tiny_setup() -> (WorkloadTrace, CarbonTrace) {
         let trace = gaia_workload::synth::section3_workload(3);
@@ -178,19 +146,21 @@ mod tests {
     #[test]
     fn try_runner_surfaces_policy_errors() {
         let (trace, carbon) = tiny_setup();
-        let err = try_run_spec_report(
+        let err = try_run_spec_report_with_queues(
             PolicySpec::plain(BasePolicyKind::BadPlan),
             &trace,
             &carbon,
             ClusterConfig::default(),
+            default_queues(&trace),
         )
         .expect_err("the fault-injection policy must fail");
         assert!(matches!(err, SimError::Policy(_)), "{err}");
-        let report = try_run_spec_report(
+        let report = try_run_spec_report_with_queues(
             PolicySpec::plain(BasePolicyKind::NoWait),
             &trace,
             &carbon,
             ClusterConfig::default(),
+            default_queues(&trace),
         )
         .expect("valid policy");
         assert_eq!(report.jobs.len(), trace.len());
@@ -206,5 +176,71 @@ mod tests {
         let rows = run_specs(&specs, &trace, &carbon, ClusterConfig::default());
         assert_eq!(rows[0].name, "NoWait");
         assert_eq!(rows[1].name, "Carbon-Time");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid policy decision")]
+    fn panicking_runner_reports_the_policy_error() {
+        let (trace, carbon) = tiny_setup();
+        run_spec_report(
+            PolicySpec::plain(BasePolicyKind::BadPlan),
+            &trace,
+            &carbon,
+            ClusterConfig::default(),
+        );
+    }
+
+    #[test]
+    fn run_spec_summarizes_its_own_report() {
+        let (trace, carbon) = tiny_setup();
+        let spec = PolicySpec::plain(BasePolicyKind::CarbonTime);
+        let config = ClusterConfig::default().with_reserved(2);
+        let report = run_spec_report(spec, &trace, &carbon, config);
+        assert_eq!(
+            run_spec(spec, &trace, &carbon, config),
+            Summary::of(spec.name(), &report)
+        );
+    }
+
+    #[test]
+    fn explicit_queues_bound_every_wait() {
+        let (trace, carbon) = tiny_setup();
+        let budget = Minutes::new(1);
+        let run = |queues| {
+            run_spec_report_with_queues(
+                PolicySpec::plain(BasePolicyKind::CarbonTime),
+                &trace,
+                &carbon,
+                ClusterConfig::default(),
+                queues,
+            )
+        };
+        let tight = run(default_queues(&trace).with_waits(budget, budget));
+        assert!(tight.jobs.iter().all(|o| o.waiting <= budget));
+        let loose = run(default_queues(&trace));
+        assert!(
+            loose.totals.total_waiting > tight.totals.total_waiting,
+            "the paper-default budgets let Carbon-Time wait for greener hours"
+        );
+    }
+
+    #[test]
+    fn default_queues_learn_their_averages_from_the_trace() {
+        let (trace, _) = tiny_setup();
+        let queues = default_queues(&trace);
+        for kind in [QueueKind::Short, QueueKind::Long] {
+            let lengths: Vec<u64> = trace
+                .jobs()
+                .iter()
+                .filter(|j| queues.classify(j) == kind)
+                .map(|j| j.length.as_minutes())
+                .collect();
+            if lengths.is_empty() {
+                continue;
+            }
+            let mean = lengths.iter().sum::<u64>() as f64 / lengths.len() as f64;
+            let avg = queues.avg_length(kind).as_minutes() as f64;
+            assert!((avg - mean).abs() <= 1.0, "{kind:?}: {avg} vs {mean}");
+        }
     }
 }

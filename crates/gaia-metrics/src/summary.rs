@@ -181,4 +181,40 @@ mod tests {
     fn carbon_kg_conversion() {
         assert!((summary("x", 2500.0, 0.0, 0.0).carbon_kg() - 2.5).abs() < 1e-12);
     }
+
+    #[test]
+    fn summary_of_reads_the_report_totals() {
+        let trace = gaia_workload::synth::section3_workload(2);
+        let carbon = gaia_carbon::CarbonTrace::constant(300.0, 24 * 5).unwrap();
+        let config = gaia_sim::ClusterConfig::default().with_reserved(3);
+        let report = crate::runner::run_spec_report(
+            gaia_core::catalog::PolicySpec::plain(gaia_core::catalog::BasePolicyKind::NoWait),
+            &trace,
+            &carbon,
+            config,
+        );
+        let s = Summary::of("row", &report);
+        assert_eq!(s.name, "row");
+        assert_eq!(s.carbon_g, report.totals.carbon_g);
+        assert_eq!(s.total_cost, report.totals.total_cost());
+        assert_eq!(s.mean_wait_hours, report.mean_waiting().as_hours_f64());
+        assert_eq!(
+            s.mean_completion_hours,
+            report.totals.mean_completion().as_hours_f64()
+        );
+        assert_eq!(s.reserved_utilization, report.totals.reserved_utilization());
+        assert_eq!(s.evictions, report.totals.evictions);
+        assert_eq!(s.jobs, trace.len());
+    }
+
+    #[test]
+    fn normalize_keeps_row_order_and_names() {
+        assert!(normalize_to_max(&[]).is_empty());
+        let rows = vec![summary("z", 1.0, 1.0, 1.0), summary("a", 2.0, 2.0, 2.0)];
+        let names: Vec<String> = normalize_to_max(&rows)
+            .into_iter()
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(names, ["z", "a"]);
+    }
 }

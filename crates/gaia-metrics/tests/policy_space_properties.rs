@@ -6,11 +6,11 @@
 
 use gaia_carbon::{synth::synthesize_region, Region};
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
-use gaia_core::placement::PlacementSpec;
+use gaia_core::placement::{PlacementSpec, TransferModel};
 use gaia_core::{CarbonScale, GaiaScheduler};
 use gaia_metrics::placed::{audit_placed, run_placed};
 use gaia_metrics::runner::{self, run_spec_report};
-use gaia_sim::{audit_report, ClusterConfig, Simulation};
+use gaia_sim::{audit_report, ClusterConfig, Simulation, TransferStats};
 use gaia_workload::elastic::{ElasticProfile, ScalingCurve};
 use gaia_workload::synth::section3_workload;
 use proptest::prelude::*;
@@ -119,19 +119,30 @@ proptest! {
     }
 
     /// Federated placement over random region pairs covers every job
-    /// exactly once and audits clean, including the transfer bill.
+    /// exactly once and audits clean, including the transfer bill, under
+    /// the default transfer model and a zero-cost one. Free moves bill
+    /// nothing and add no waiting to the region runs' own.
     #[test]
     fn federated_placement_audits_clean(
         home_idx in 0usize..6,
         other_idx in 0usize..6,
         seed in 0u64..1000,
+        zero_cost in 0u8..2,
     ) {
         let home = region(home_idx);
         let other = region(other_idx + usize::from(home_idx == other_idx));
         let trace = section3_workload(seed);
         let traces = [(home, synthesize_region(home, 42)), (other, synthesize_region(other, 42))];
         let refs: Vec<_> = traces.iter().map(|(r, t)| (*r, t)).collect();
-        let spec = PlacementSpec::federated(home).with_candidates(&[home, other]);
+        let mut spec = PlacementSpec::federated(home).with_candidates(&[home, other]);
+        if zero_cost == 1 {
+            spec = spec.with_model(TransferModel {
+                gb_per_cpu: 0.0,
+                cost_per_gb: 0.0,
+                carbon_g_per_gb: 0.0,
+                minutes_per_1000km: 0.0,
+            });
+        }
         let config = ClusterConfig::default();
         let placed = run_placed(
             PolicySpec::plain(BasePolicyKind::CarbonTime),
@@ -147,5 +158,17 @@ proptest! {
         );
         let audit = audit_placed(&placed, &trace, &refs, &spec, &config);
         prop_assert!(audit.is_clean(), "{:?}", audit.violations);
+        if zero_cost == 1 {
+            let transfer = placed.report.transfer;
+            prop_assert_eq!(
+                transfer,
+                TransferStats { jobs_moved: transfer.jobs_moved, ..TransferStats::default() }
+            );
+            for run in &placed.regions {
+                for (outcome, &original) in run.report.jobs.iter().zip(&run.job_ids) {
+                    prop_assert!(placed.report.jobs[original].waiting <= outcome.waiting);
+                }
+            }
+        }
     }
 }

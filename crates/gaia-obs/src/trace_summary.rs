@@ -124,11 +124,6 @@ impl TraceSummary {
         Ok(builder.finish())
     }
 
-    /// Mean stretch over completed jobs, or `None` if none completed.
-    pub fn mean_stretch(&self) -> Option<f64> {
-        (self.jobs_completed > 0).then(|| self.total_stretch / self.jobs_completed as f64)
-    }
-
     /// Render the deterministic plain-text summary.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -682,5 +677,26 @@ mod tests {
         let text = summary.render();
         assert!(text.contains("injected          1"), "{text}");
         assert!(text.contains("retry attempts    1"), "{text}");
+    }
+
+    #[test]
+    fn jsonl_parse_errors_name_the_line() {
+        let good = Event::SpotEvicted { t: 5, job: 1 }.to_json_line();
+        let text = format!("{good}\n\n{{broken\n{good}\n");
+        let err = TraceSummary::from_jsonl(text.as_bytes()).unwrap_err();
+        assert!(err.starts_with("line 3: "), "{err}");
+    }
+
+    #[test]
+    fn an_empty_stream_summarizes_clean() {
+        let batch = TraceSummary::from_events(&[]);
+        assert!(batch.issues.is_empty(), "{:?}", batch.issues);
+        assert_eq!(batch.last_t, None);
+        assert_eq!(batch.evictions, 0);
+        let parsed = TraceSummary::from_jsonl("\n  \n".as_bytes()).unwrap();
+        assert_eq!(parsed.render(), batch.render());
+        let stream = SummaryStream::new();
+        assert_eq!(stream.lines(), 0);
+        assert_eq!(stream.summary().render(), batch.render());
     }
 }

@@ -306,3 +306,222 @@ pub fn corruptions(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
     });
     overwrites.chain(counts)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn primitives_round_trip_in_order() {
+        let mut w = Writer::new();
+        w.u8(0xab);
+        w.bool(true);
+        w.bool(false);
+        w.u32(0xdead_beef);
+        w.u64(u64::MAX - 1);
+        w.f64(-1.5);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 1 + 1 + 4 + 8 + 8);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.u8(), Ok(0xab));
+        assert_eq!(r.bool(), Ok(true));
+        assert_eq!(r.bool(), Ok(false));
+        assert_eq!(r.u32(), Ok(0xdead_beef));
+        assert_eq!(r.u64(), Ok(u64::MAX - 1));
+        assert_eq!(r.f64(), Ok(-1.5));
+        assert_eq!(r.done(), Ok(()));
+    }
+
+    #[test]
+    fn integers_are_little_endian() {
+        let mut w = Writer::new();
+        w.u32(0x0102_0304);
+        w.u64(0x0102_0304_0506_0708);
+        assert_eq!(
+            w.into_bytes(),
+            [4, 3, 2, 1, 8, 7, 6, 5, 4, 3, 2, 1],
+            "the layout is part of every persisted format"
+        );
+    }
+
+    #[test]
+    fn floats_keep_their_bits() {
+        let payload_nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let values = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 2.0,
+            payload_nan,
+        ];
+        let mut w = Writer::new();
+        for v in values {
+            w.f64(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        for v in values {
+            assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
+        }
+        r.done().unwrap();
+    }
+
+    #[test]
+    fn strings_and_blobs_carry_a_u64_length() {
+        let mut w = Writer::new();
+        w.str("grün");
+        w.bytes(&[]);
+        w.bytes(&[9, 8, 7]);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            &bytes[..8],
+            &5u64.to_le_bytes(),
+            "byte length, not char count"
+        );
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.str().as_deref(), Ok("grün"));
+        assert_eq!(r.bytes(), Ok(&[][..]));
+        assert_eq!(r.bytes(), Ok(&[9u8, 8, 7][..]));
+        r.done().unwrap();
+    }
+
+    #[test]
+    fn invalid_utf8_is_malformed() {
+        let mut w = Writer::new();
+        w.bytes(&[0xff, 0xfe]);
+        let bytes = w.into_bytes();
+        let err = Reader::new(&bytes).str().unwrap_err();
+        assert!(
+            matches!(&err, DecodeError::Malformed(m) if m.starts_with("invalid UTF-8")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn options_round_trip_and_reject_bad_tags() {
+        let mut w = Writer::new();
+        w.opt(None::<&u64>, |w, v| w.u64(*v));
+        w.opt(Some(&7u64), |w, v| w.u64(*v));
+        w.opt(Some("x"), |w, v| w.str(v));
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert_eq!(r.opt(|r| r.u64()), Ok(None));
+        assert_eq!(r.opt(|r| r.u64()), Ok(Some(7)));
+        assert_eq!(r.opt(|r| r.str()), Ok(Some("x".to_string())));
+        r.done().unwrap();
+
+        let err = Reader::new(&[2]).opt(|r| r.u8()).unwrap_err();
+        assert_eq!(err, DecodeError::Malformed("invalid option tag 2".into()));
+    }
+
+    #[test]
+    fn bool_rejects_bytes_other_than_zero_and_one() {
+        assert_eq!(
+            Reader::new(&[2]).bool(),
+            Err(DecodeError::Malformed("invalid bool byte 2".into()))
+        );
+    }
+
+    #[test]
+    fn header_distinguishes_bad_magic_from_unknown_version() {
+        let good = Writer::with_header(b"GAIATEST", 3).into_bytes();
+        assert_eq!(good.len(), 12);
+        let mut r = Reader::new(&good);
+        r.header(b"GAIATEST", 3).unwrap();
+        r.done().unwrap();
+
+        let err = Reader::new(&good).header(b"GAIAOTHR", 3).unwrap_err();
+        assert!(matches!(err, DecodeError::Malformed(_)), "{err:?}");
+        let err = Reader::new(&good).header(b"GAIATEST", 4).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError::UnknownVersion("GAIATEST version 3; this build reads version 4".into())
+        );
+        let err = Reader::new(&good[..10]).header(b"GAIATEST", 3).unwrap_err();
+        assert!(matches!(err, DecodeError::Malformed(m) if m.starts_with("truncated")));
+    }
+
+    #[test]
+    fn truncation_and_trailing_bytes_are_malformed() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(
+            r.u32(),
+            Err(DecodeError::Malformed(
+                "truncated: need 4 bytes at offset 0, have 3".into()
+            ))
+        );
+        // A failed take consumes nothing.
+        assert_eq!(r.u8(), Ok(1));
+        assert_eq!(
+            r.done(),
+            Err(DecodeError::Malformed(
+                "2 trailing bytes after the payload".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn count_is_guarded_by_the_remaining_bytes() {
+        let mut w = Writer::new();
+        w.u64(3);
+        w.u64(0);
+        w.u64(0);
+        let bytes = w.into_bytes();
+        // 16 bytes remain after the count: three 5-byte elements fit,
+        // three 6-byte ones do not.
+        assert_eq!(Reader::new(&bytes).count(5), Ok(3));
+        assert!(matches!(
+            Reader::new(&bytes).count(6),
+            Err(DecodeError::Malformed(m)) if m.starts_with("implausible element count 3")
+        ));
+        // A zero element size is treated as one byte, so u64::MAX never
+        // passes.
+        let huge = u64::MAX.to_le_bytes();
+        assert!(Reader::new(&huge).count(0).is_err());
+        assert!(Reader::new(&huge).bytes().is_err());
+    }
+
+    #[test]
+    fn decode_errors_display_their_message() {
+        let e = DecodeError::UnknownVersion("v9".into());
+        assert_eq!(e.to_string(), "v9");
+        let s: String = DecodeError::Malformed("bad".into()).into();
+        assert_eq!(s, "bad");
+    }
+
+    #[test]
+    fn corruptions_change_one_byte_or_write_one_max_count() {
+        let valid = [5u8; 10];
+        let all: Vec<Vec<u8>> = corruptions(&valid).collect();
+        assert_eq!(all.len(), 10 + 3);
+        for (at, bytes) in all[..10].iter().enumerate() {
+            let diffs: Vec<usize> = (0..10).filter(|&i| bytes[i] != valid[i]).collect();
+            assert_eq!(diffs, vec![at]);
+        }
+        for (at, bytes) in all[10..].iter().enumerate() {
+            assert_eq!(&bytes[at..at + 8], &u64::MAX.to_le_bytes());
+        }
+        assert_eq!(
+            corruptions(&[1, 2, 3]).count(),
+            3,
+            "too short for a count field"
+        );
+    }
+
+    #[test]
+    fn durable_write_replaces_contents_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("gaia-codec-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        durable_write(&path, b"first").unwrap();
+        durable_write(&path, b"second").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"second");
+        assert!(!path.with_extension("tmp").exists());
+        // A missing parent directory fails without leaving anything behind.
+        let missing = dir.join("absent").join("state.bin");
+        assert!(durable_write(&missing, b"x").is_err());
+        assert!(!missing.with_extension("tmp").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}

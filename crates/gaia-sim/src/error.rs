@@ -173,4 +173,37 @@ mod tests {
         .into();
         assert!(policy_err.source().is_some());
     }
+
+    #[test]
+    fn elastic_shortfall_names_both_amounts() {
+        let e = PolicyError::ElasticPlanShortfall {
+            job: JobId(4),
+            work_milli: 1_500,
+            needed_milli: 2_000,
+        };
+        let text = e.to_string();
+        assert!(text.contains("1500 milli-minutes"), "{text}");
+        assert!(text.ends_with("needs 2000"), "{text}");
+    }
+
+    #[test]
+    fn fault_errors_name_the_rejection_and_have_no_source() {
+        use std::error::Error as _;
+        let e = SimError::Fault("gap covers the whole trace".into());
+        assert_eq!(
+            e.to_string(),
+            "fault schedule rejected: gap covers the whole trace"
+        );
+        assert!(e.source().is_none());
+        let policy = PolicyError::PlanLengthMismatch {
+            job: JobId(1),
+            planned: Minutes::new(5),
+            length: Minutes::new(6),
+        };
+        let wrapped = SimError::from(policy.clone());
+        assert_eq!(
+            wrapped.source().map(|s| s.to_string()),
+            Some(policy.to_string())
+        );
+    }
 }

@@ -58,10 +58,6 @@ impl EventQueue {
         self.run.len() + self.heap.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.heap.is_empty()
-    }
-
     /// Pre-sizes both lanes for `additional` more events each (plus
     /// their distinct slack), so neither reallocates while the queue
     /// holds no more than that.
@@ -208,7 +204,7 @@ mod tests {
                 assert_eq!(queue.pop(), Some(expect), "seed {seed} drain");
             }
             assert_eq!(queue.pop(), None);
-            assert!(queue.is_empty());
+            assert_eq!(queue.len(), 0);
         }
     }
 
@@ -241,7 +237,7 @@ mod tests {
             assert_eq!(queue.pop(), Some(expect));
         }
         assert_eq!(queue.pop(), None);
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
@@ -272,7 +268,7 @@ mod tests {
             assert_eq!(queue.pop(), Some(expect));
         }
         assert_eq!(queue.pop(), None);
-        assert!(queue.is_empty());
+        assert_eq!(queue.len(), 0);
     }
 
     /// The batch path's shape: a whole trace of arrivals inserted in

@@ -723,11 +723,6 @@ impl<'e, S: Sink> OnlineEngine<'e, S> {
         self.queue.len()
     }
 
-    /// Whether the event queue is empty.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// The externally visible status of job `idx`, or `None` if no such
     /// job was submitted.
     pub fn job_status(&self, idx: u32) -> Option<JobStatus> {

@@ -504,11 +504,6 @@ impl<'e, S: Sink> OracleEngine<'e, S> {
         self.heap.len()
     }
 
-    /// Whether the event queue is empty.
-    pub fn is_idle(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// The externally visible status of job `idx`, or `None` if no such
     /// job was submitted.
     pub fn job_status(&self, idx: u32) -> Option<JobStatus> {

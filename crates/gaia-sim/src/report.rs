@@ -251,4 +251,67 @@ mod tests {
         assert_eq!(t.hours(), 0);
         assert_eq!(t.total_at(0), 0.0);
     }
+
+    #[test]
+    fn degradation_and_transfer_stats_are_clean_only_at_default() {
+        assert!(DegradationStats::default().is_clean());
+        let touched = [
+            DegradationStats {
+                degraded_decisions: 1,
+                ..Default::default()
+            },
+            DegradationStats {
+                price_surcharge: 0.01,
+                ..Default::default()
+            },
+            DegradationStats {
+                bridged_gap_hours: 1,
+                ..Default::default()
+            },
+        ];
+        assert!(touched.iter().all(|d| !d.is_clean()));
+
+        assert!(TransferStats::default().is_zero());
+        let moved = TransferStats {
+            jobs_moved: 1,
+            ..Default::default()
+        };
+        assert!(!moved.is_zero(), "a free move is still a move");
+    }
+
+    #[test]
+    fn report_accessors_read_jobs_and_totals() {
+        let segment = |start: u64, end: u64| SegmentRecord {
+            start: SimTime::from_minutes(start),
+            end: SimTime::from_minutes(end),
+            option: PurchaseOption::OnDemand,
+            useful: true,
+            width: 1,
+            work_milli: 0,
+        };
+        let jobs = vec![
+            outcome_with_segments(1, vec![segment(0, 200)]),
+            outcome_with_segments(1, vec![segment(10, 70)]),
+        ];
+        let config = crate::ClusterConfig::default();
+        let totals = ClusterTotals::aggregate(&jobs, &config, Minutes::from_hours(4));
+        let report = SimReport {
+            timeline: AllocationTimeline::from_outcomes(&jobs, Minutes::from_hours(4)),
+            jobs,
+            totals,
+            degradation: DegradationStats::default(),
+            transfer: TransferStats::default(),
+        };
+        assert_eq!(report.makespan(), SimTime::from_minutes(200));
+        assert_eq!(report.mean_waiting(), report.totals.mean_waiting());
+        assert_eq!(report.carbon_g(), report.totals.carbon_g);
+        assert_eq!(report.total_cost(), report.totals.total_cost());
+        assert!(report.total_cost() > 0.0);
+
+        let empty = SimReport {
+            jobs: Vec::new(),
+            ..report
+        };
+        assert_eq!(empty.makespan(), SimTime::ORIGIN);
+    }
 }

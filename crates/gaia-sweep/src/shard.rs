@@ -44,7 +44,7 @@ use gaia_sim::{durable_write, fnv1a};
 
 use crate::cache::CacheStats;
 use crate::codec::{self, Reader, Writer};
-use crate::{CellOutcome, ScenarioResult, SweepGrid, SweepRun};
+use crate::{ScenarioResult, SweepGrid, SweepRun};
 
 /// Bump when the `cells.bin` layout changes; old shard files then fail
 /// to merge instead of decoding garbage.
@@ -454,20 +454,6 @@ fn metrics_without_cache(registry: &MetricsRegistry) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Count of merge-relevant outcomes for progress reporting: `(completed,
-/// failed)` cells in `outcomes`.
-pub fn outcome_counts<'a>(outcomes: impl IntoIterator<Item = &'a CellOutcome>) -> (usize, usize) {
-    let mut completed = 0;
-    let mut failed = 0;
-    for outcome in outcomes {
-        match outcome {
-            CellOutcome::Completed { .. } | CellOutcome::Retried { .. } => completed += 1,
-            CellOutcome::Failed { .. } => failed += 1,
-        }
-    }
-    (completed, failed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,6 +597,84 @@ mod tests {
             replay.counter("sim.jobs").get(),
             registry.counter("sim.jobs").get()
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `cells.bin` prefix up to the shard count, then the given split
+    /// and wall-clock, with no cells.
+    fn slice_bytes(index: u64, of: u64, wall: f64) -> Vec<u8> {
+        let mut w = Writer::with_header(SHARD_MAGIC, SHARD_FORMAT_VERSION);
+        codec::write_grid(&mut w, &grid());
+        w.u64(index);
+        w.u64(of);
+        w.u64(1);
+        w.f64(wall);
+        w.bool(false);
+        w.bool(false);
+        for _ in 0..4 {
+            w.u64(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn decode_checks_the_split_and_the_wall_clock() {
+        let empty = decode_slice(&slice_bytes(1, 2, 3.5)).unwrap();
+        assert_eq!((empty.index, empty.of, empty.workers), (1, 2, 1));
+        assert_eq!(empty.wall, Duration::from_secs_f64(3.5));
+        assert!(empty.cells.is_empty());
+
+        let err = decode_slice(&slice_bytes(2, 2, 1.0)).unwrap_err();
+        assert_eq!(err, "shard index 2 out of range (of 2)");
+        let err = decode_slice(&slice_bytes(0, 0, 1.0)).unwrap_err();
+        assert_eq!(err, "shard index 0 out of range (of 0)");
+        let err = decode_slice(&slice_bytes(0, 1, f64::NAN)).unwrap_err();
+        assert_eq!(err, "shard wall-clock is NaN");
+        // Out-of-range clocks clamp instead of panicking in `Duration`.
+        let negative = decode_slice(&slice_bytes(0, 1, -5.0)).unwrap();
+        assert_eq!(negative.wall, Duration::ZERO);
+        let huge = decode_slice(&slice_bytes(0, 1, f64::INFINITY)).unwrap();
+        assert_eq!(huge.wall, Duration::from_secs_f64(1e9));
+    }
+
+    #[test]
+    fn missing_and_empty_inputs_are_typed_errors() {
+        let dir = tempdir("missing");
+        let err = read_shard(&dir.join("absent")).unwrap_err();
+        assert!(matches!(err, MergeError::Io(..)), "{err}");
+        assert!(err.to_string().contains("cells.bin"), "{err}");
+        assert!(matches!(
+            merge_shards(&[]),
+            Err(MergeError::Inconsistent(reason)) if reason == "no shard directories"
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_shard_records_the_split_and_refuses_foreign_cells() {
+        let grid = grid();
+        let executor = Executor::new(1).with_progress(false);
+        let mut run = grid
+            .runner()
+            .executor(&executor)
+            .shard(1, 3)
+            .execute()
+            .unwrap();
+        let dir = tempdir("manifest");
+        write_shard(&dir, &run, None).unwrap();
+        let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+        assert!(manifest.contains("\"shard\": 1,"), "{manifest}");
+        assert!(manifest.contains("\"of\": 3,"), "{manifest}");
+        assert!(
+            manifest.contains(&format!("\"cells\": {},", run.results.len())),
+            "{manifest}"
+        );
+        assert!(!dir.join("metrics.bin").exists());
+
+        run.results[0].key.push_str("/foreign");
+        let err = write_shard(&dir.join("foreign"), &run, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.join("foreign").join("cells.bin").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -228,6 +228,7 @@ fn region_pool() -> Vec<Region> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    #[test]
     fn any_grid_is_worker_count_invariant(
         policy_lo in 0usize..4,
         policy_n in 1usize..3,
@@ -274,6 +275,7 @@ proptest! {
         );
     }
 
+    #[test]
     fn trace_cache_sharing_does_not_change_results(
         seed in 0u64..500,
         workers in 2usize..6,

@@ -303,6 +303,7 @@ proptest! {
 
     /// Any random grid, split any way, merges back to the
     /// single-process bytes.
+    #[test]
     fn any_grid_merges_to_the_single_process_bytes(
         policy_lo in 0usize..4,
         policy_n in 1usize..3,
@@ -356,6 +357,7 @@ proptest! {
     /// Any surviving subset of cache entries — the state an arbitrary
     /// kill point leaves behind — resumes to the same results, hitting
     /// exactly the survivors and recomputing exactly the rest.
+    #[test]
     fn partial_cache_resumes_with_bounded_recomputation(
         seed_base in 0u64..300,
         keep_mask in 0usize..64,

@@ -265,4 +265,33 @@ mod tests {
         assert_eq!(QueueKind::Short.to_string(), "short");
         assert_eq!(QueueKind::Long.to_string(), "long");
     }
+
+    #[test]
+    #[should_panic(expected = "waits must be positive")]
+    fn rejects_a_zero_wait() {
+        let _ = QueueSet::paper_defaults().with_waits(Minutes::ZERO, Minutes::from_hours(1));
+    }
+
+    #[test]
+    fn waits_do_not_move_the_length_caps_or_averages() {
+        let jobs = vec![job(30), job(500)];
+        let learned = QueueSet::paper_defaults().with_averages_from(&jobs);
+        let q = learned.with_waits(Minutes::new(7), Minutes::new(11));
+        for kind in [QueueKind::Short, QueueKind::Long] {
+            assert_eq!(q.config(kind).max_length, learned.config(kind).max_length);
+            assert_eq!(q.avg_length(kind), learned.avg_length(kind));
+        }
+        assert_eq!(q.max_length_for(&job(30)), Minutes::from_hours(2));
+        assert_eq!(q.max_length_for(&job(500)), Minutes::from_days(3));
+    }
+
+    #[test]
+    fn averages_are_floored_to_whole_minutes() {
+        let jobs = vec![job(10), job(11)];
+        let q = QueueSet::paper_defaults().with_averages_from(&jobs);
+        assert_eq!(q.avg_length(QueueKind::Short), Minutes::new(10));
+        // Averages come from the jobs given, not accumulated across calls.
+        let again = q.with_averages_from(&[job(40)]);
+        assert_eq!(again.avg_length(QueueKind::Short), Minutes::new(40));
+    }
 }

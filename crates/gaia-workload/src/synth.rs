@@ -76,15 +76,6 @@ impl TraceFamily {
         WorkloadTrace::from_jobs(jobs)
     }
 
-    /// The year-long, 100k-job trace used by the large-scale experiments
-    /// (Figures 13–19): raw generation followed by the paper's pipeline.
-    pub fn year_long_100k(self, seed: u64) -> WorkloadTrace {
-        let horizon = Minutes::from_days(365);
-        // Generate with head-room so filtering still leaves 100k jobs.
-        let raw = self.generate_raw(165_000, horizon, seed);
-        SamplePipeline::paper_defaults(100_000).apply(&raw, seed)
-    }
-
     /// A smaller year-long sample for fast experimentation and tests.
     pub fn year_long(self, n_jobs: usize, seed: u64) -> WorkloadTrace {
         let horizon = Minutes::from_days(365);
