@@ -33,14 +33,12 @@ use std::thread;
 use std::time::Duration;
 
 use gaia_carbon::synth::synthesize_region;
-use gaia_carbon::{
-    CarbonForecaster, CarbonTrace, PerfectForecaster, PersistenceForecaster, Region,
-};
+use gaia_carbon::{CarbonForecaster, CarbonTrace, PerfectForecaster, Region};
 use gaia_core::catalog::{BasePolicyKind, PolicySpec};
 use gaia_fault::{FaultPlan, FaultSchedule};
 use gaia_obs::flight::wall_micros;
 use gaia_obs::{FlightRecorder, FlightSink, JsonlSink, NullSink, Sink};
-use gaia_sim::{durable_write, ClusterConfig, OnlineEngine};
+use gaia_sim::{durable_write, ClusterConfig, OnlineEngine, PolicyCarbon};
 
 use crate::protocol::{Request, Response};
 use crate::session::Session;
@@ -202,27 +200,11 @@ pub fn run(options: &ServeOptions) -> Result<(), String> {
         .with_seed(options.seed);
     let faults = load_faults(options)?;
     let faults = faults.as_ref();
-    // Mirror the batch path's forecaster wiring: policies see the
-    // gap-bridged trace, accounting always uses the true trace, and
-    // outage windows fall back to persistence forecasts.
-    let bridged: Option<CarbonTrace> = match faults {
-        Some(f) if f.has_gaps() => Some(
-            carbon
-                .with_gaps_bridged(f.gaps())
-                .map_err(|e| format!("fault plan does not fit the carbon trace: {e}"))?,
-        ),
-        _ => None,
-    };
-    let policy_trace: &CarbonTrace = bridged.as_ref().unwrap_or(&carbon);
-    let forecaster = PerfectForecaster::new(policy_trace);
-    let persistence;
-    let fallback: Option<&dyn CarbonForecaster> = match faults {
-        Some(f) if f.has_outages() => {
-            persistence = PersistenceForecaster::new(policy_trace);
-            Some(&persistence)
-        }
-        _ => None,
-    };
+    let policy = PolicyCarbon::new(&carbon, faults)
+        .map_err(|e| format!("fault plan does not fit the carbon trace: {e}"))?;
+    let forecaster = PerfectForecaster::new(policy.trace());
+    let persistence = policy.fallback();
+    let fallback = persistence.as_ref().map(|p| p as &dyn CarbonForecaster);
     let recorder = FlightRecorder::new(options.flight_capacity);
     let telemetry = Arc::new(ServeTelemetry::new());
     if options.flight_capacity > 0 {

@@ -9,7 +9,7 @@ use std::thread;
 use std::time::Duration;
 
 use gaia_serve::{run, ServeOptions};
-use gaia_sim::durable_write;
+use gaia_sim::{durable_write, FaultPlan, FaultSpec};
 
 fn temp_path(name: &str) -> PathBuf {
     let mut path = std::env::temp_dir();
@@ -169,6 +169,37 @@ fn daemon_handles_concurrent_tenants_and_bad_input() {
     let (_, _) = replay_str(&addr, r#"{"op":"shutdown"}"#);
     handle.join().expect("daemon thread").expect("daemon run");
     let _ = fs::remove_file(&addr_file);
+}
+
+/// `--faults` with a trace gap past the end of the carbon trace is
+/// refused before the daemon binds: `run` returns an error about the
+/// plan, and no address file is written.
+#[test]
+fn daemon_refuses_a_fault_plan_past_the_carbon_trace() {
+    let addr_file = temp_path("addr-faults");
+    let plan_path = temp_path("faults.json");
+    let _ = fs::remove_file(&addr_file);
+    let mut plan = FaultPlan::new();
+    plan.push(FaultSpec::TraceGap {
+        start_hour: 24 * 400,
+        hours: 24,
+    });
+    fs::write(&plan_path, plan.to_json()).expect("write fault plan");
+    let options = ServeOptions {
+        addr_file: Some(addr_file.clone()),
+        faults: Some(plan_path.clone()),
+        ..ServeOptions::default()
+    };
+    let err = run(&options).expect_err("the plan does not fit the trace");
+    assert!(
+        err.starts_with("fault plan does not fit the carbon trace") && err.contains("reaches past"),
+        "{err}"
+    );
+    assert!(
+        !addr_file.exists(),
+        "the daemon bound before refusing the plan"
+    );
+    let _ = fs::remove_file(&plan_path);
 }
 
 /// A reader racing [`durable_write`] of a snapshot must only ever see

@@ -21,8 +21,11 @@
 //! starts, so freed reserved capacity is always visible to decisions made
 //! at the same instant. Ties beyond that are FIFO.
 
+use std::borrow::Cow;
+
 use gaia_carbon::{
-    CarbonForecaster, CarbonTrace, ForecastView, PerfectForecaster, PersistenceForecaster,
+    CarbonError, CarbonForecaster, CarbonTrace, ForecastView, PerfectForecaster,
+    PersistenceForecaster,
 };
 use gaia_fault::FaultSchedule;
 use gaia_obs::{NullSink, Profiler, Sink};
@@ -62,6 +65,41 @@ pub struct SchedulerContext<'a> {
     /// is then backed by a persistence fallback rather than the configured
     /// forecaster, and policies may coarsen their planning accordingly.
     pub degraded: bool,
+}
+
+/// What a fault plan lets policies see of the carbon trace, for every
+/// caller that wires forecasters: its trace gaps bridged by interpolation
+/// (the true trace borrowed, not cloned, when it has none) and a
+/// persistence fallback for its forecast outages. Accounting always uses
+/// the true trace.
+#[derive(Debug)]
+pub struct PolicyCarbon<'t> {
+    trace: Cow<'t, CarbonTrace>,
+    outages: bool,
+}
+
+impl<'t> PolicyCarbon<'t> {
+    /// Fails when a gap of `plan` does not fit `carbon`.
+    pub fn new(carbon: &'t CarbonTrace, plan: Option<&FaultSchedule>) -> Result<Self, CarbonError> {
+        let trace = match plan {
+            Some(f) if f.has_gaps() => Cow::Owned(carbon.with_gaps_bridged(f.gaps())?),
+            _ => Cow::Borrowed(carbon),
+        };
+        let outages = plan.is_some_and(FaultSchedule::has_outages);
+        Ok(PolicyCarbon { trace, outages })
+    }
+
+    /// The policy-visible trace, which a default forecaster reads.
+    pub fn trace(&self) -> &CarbonTrace {
+        &self.trace
+    }
+
+    /// The forecaster for outage windows, `None` when the plan has none:
+    /// yesterday's intensity repeats, which needs no forecast service.
+    pub fn fallback(&self) -> Option<PersistenceForecaster<'_>> {
+        self.outages
+            .then(|| PersistenceForecaster::new(&self.trace))
+    }
 }
 
 /// A configured simulation, ready to replay workload traces.
@@ -202,45 +240,19 @@ impl<'a> Simulation<'a> {
         scheduler: &mut dyn Scheduler,
         sink: &mut S,
     ) -> Result<SimReport, SimError> {
-        // Policies plan against the *policy-visible* trace: when the fault
-        // schedule declares trace gaps, the missing hours are bridged by
-        // interpolation before the default forecaster sees them.
-        // Accounting always uses the true trace. A caller-supplied
-        // forecaster owns its own data and is used as given.
-        let bridged: Option<CarbonTrace> = match self.faults {
-            Some(f) if f.has_gaps() => Some(
-                self.carbon
-                    .with_gaps_bridged(f.gaps())
-                    .map_err(|e| SimError::Fault(e.to_string()))?,
-            ),
-            _ => None,
-        };
-        let policy_trace: &CarbonTrace = bridged.as_ref().unwrap_or(self.carbon);
-        let perfect;
-        let forecaster: &dyn CarbonForecaster = match self.forecaster {
-            Some(f) => f,
-            None => {
-                perfect = PerfectForecaster::new(policy_trace);
-                &perfect
-            }
-        };
-        // Degraded-mode fallback for forecast-outage windows: yesterday's
-        // intensity repeats (persistence), the weakest forecaster that
-        // needs no service at all.
-        let persistence;
-        let fallback: Option<&dyn CarbonForecaster> = match self.faults {
-            Some(f) if f.has_outages() => {
-                persistence = PersistenceForecaster::new(policy_trace);
-                Some(&persistence)
-            }
-            _ => None,
-        };
+        // A caller-supplied forecaster owns its own data and is used as
+        // given; the default one reads the policy-visible trace.
+        let policy = PolicyCarbon::new(self.carbon, self.faults)
+            .map_err(|e| SimError::Fault(e.to_string()))?;
+        let perfect = PerfectForecaster::new(policy.trace());
+        let forecaster = self.forecaster.unwrap_or(&perfect);
+        let persistence = policy.fallback();
         let mut engine = OnlineEngine::new(&self.config, self.carbon, forecaster, sink);
         if let Some(profiler) = self.profiler {
             engine = engine.with_profiler(profiler);
         }
         if let Some(faults) = self.faults {
-            engine = engine.with_faults(faults, fallback);
+            engine = engine.with_faults(faults, persistence.as_ref().map(|p| p as _));
         }
         // Admission and report assembly are timed as `event_loop` too, so
         // the phase covers the whole engine run. Each guard sits beside

@@ -55,8 +55,6 @@ mod error;
 mod eventq;
 mod eviction;
 mod online;
-#[doc(hidden)]
-pub mod oracle;
 pub mod output;
 mod plan;
 mod pool;
@@ -69,7 +67,7 @@ pub use codec::durable_write;
 pub use config::{
     CapacityCap, CheckpointConfig, ClusterConfig, EnergyModel, InstanceOverheads, Pricing,
 };
-pub use engine::{Scheduler, SchedulerContext, SimRun, SimRunner, Simulation};
+pub use engine::{PolicyCarbon, Scheduler, SchedulerContext, SimRun, SimRunner, Simulation};
 pub use error::{PolicyError, SimError};
 // Observability: re-exported so engine callers can trace and profile
 // runs ([`SimRunner::sink`], [`Simulation::with_profiler`]) without
